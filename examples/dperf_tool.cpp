@@ -159,7 +159,8 @@ int main(int argc, char** argv) {
     p2pdc::TaskSpec spec;
     spec.name = source_path;
     const dperf::Prediction pred =
-        dperf::replay_on(env, platform.host(2), spec, std::move(traces));
+        dperf::replay_on(env, platform.host(2), spec,
+                         std::make_shared<const std::vector<dperf::Trace>>(std::move(traces)));
     if (!pred.computation.ok) throw std::runtime_error(pred.computation.failure);
     std::printf("predicted execution time : %.4f s\n", pred.solve_seconds);
     std::printf("incl. P2PDC overheads    : %.4f s (collection %.4f, allocation %.4f)\n",

@@ -3,9 +3,9 @@
 // CampaignReport as JSON and CSV. Each run is fully independent — it owns
 // its own sim engine, platform and booted p2pdc::Environment via
 // scenario::Runner — so runs parallelize without sharing simulator state;
-// the only cross-run state is the memoized dPerf cost-profile cache (now
-// mutex-guarded and pre-warmed here) and the logger (thread-safe, lines
-// tagged with the run key).
+// the only cross-run state is the process-wide dPerf memos (derived once per
+// key on first touch; workers needing distinct keys derive concurrently)
+// and the logger (thread-safe, lines tagged with the run key).
 //
 // Resumability: with an output directory set, every completed run is
 // persisted as <out_dir>/runs/<key>.json (written to a temp name and

@@ -8,6 +8,7 @@
 //   platform description -> predicted time.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,9 +70,10 @@ struct Prediction {
 /// platform: compute segments become simulated busy time (rescaled by the
 /// target host frequency), communication events travel the modelled
 /// network through P2PSAP channels. This is the "trace-based network
-/// simulation" stage with P2PDC in the role of SimGrid's MSG.
+/// simulation" stage with P2PDC in the role of SimGrid's MSG. The ranks
+/// read the shared trace set in place, so a memoized set replays uncopied.
 Prediction replay_on(p2pdc::Environment& env, net::NodeIdx submitter_host,
-                     p2pdc::TaskSpec spec, std::vector<Trace> traces,
+                     p2pdc::TaskSpec spec, std::shared_ptr<const std::vector<Trace>> traces,
                      Time warmup = 12.0);
 
 }  // namespace pdc::dperf

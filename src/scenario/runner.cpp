@@ -4,12 +4,9 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
-#include <tuple>
 
 #include "churn/injector.hpp"
 #include "dperf/analytic.hpp"
@@ -20,6 +17,7 @@
 #include "obstacle/minic_kernel.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
+#include "support/memo.hpp"
 #include "support/rng.hpp"
 
 namespace pdc::scenario {
@@ -350,83 +348,139 @@ std::unique_ptr<Deployment> deploy(const PlatformSpec& spec, const RunSpec& run)
 
 namespace {
 
-// The process-wide dPerf memos behind cost_profile() and Runner::traces().
-// Named stores (instead of function-local statics) so memo_stats() can
-// report their footprint — the "hot across requests" working set the serve
-// daemon exposes in its status endpoint.
-struct CostMemo {
-  std::mutex mutex;
-  std::map<std::tuple<int, int, int, int>, obstacle::CostProfile> cache;
-};
-CostMemo& cost_memo() {
-  static CostMemo memo;
-  return memo;
-}
+using TraceSet = std::vector<dperf::Trace>;
 
-struct TraceMemo {
-  std::mutex mutex;
-  std::map<std::tuple<int, int, int, int, int, double>, std::vector<dperf::Trace>> cache;
+/// The one workload key: every RunSpec field the dPerf traces (and their
+/// summaries) depend on — never the platform, so a campaign replaying one
+/// workload across a platform axis derives it once.
+struct WorkloadKey {
+  ir::OptLevel level;
+  int rcheck, grid_n, iters, ranks;
+  double omega;
+  explicit WorkloadKey(const RunSpec& run)
+      : level(run.level), rcheck(run.rcheck), grid_n(run.grid_n), iters(run.iters),
+        ranks(run.rank_count()), omega(run.omega) {}
+  auto operator<=>(const WorkloadKey&) const = default;
 };
-TraceMemo& trace_memo() {
-  static TraceMemo memo;
-  return memo;
-}
 
-// Trace summaries share the traces' key space (they are a pure collapse of
-// the memoized trace set) and are platform-independent like them: a
-// campaign sweeping platforms or churn axes in mode=analytic summarizes one
+/// Cost profiles depend on the level and the block-benchmark sizing only.
+struct CostKey {
+  ir::OptLevel level;
+  int bench_n, bench_iters, bench_rcheck;
+  auto operator<=>(const CostKey&) const = default;
+};
+
+// The process-wide dPerf memos: derived once per key, shared by every
+// concurrent campaign run and serve request, and observable through
+// memo_stats() — the "hot across requests" working set. Derivation is
+// deterministic, so which caller derives can never change a result.
+// Summaries are a pure collapse of the memoized trace set, so a campaign
+// sweeping platforms or churn axes in mode=analytic summarizes one
 // workload once, then every grid point is just plan_on.
-struct SummaryMemo {
-  std::mutex mutex;
-  std::map<std::tuple<int, int, int, int, int, double>, std::vector<dperf::TraceSummary>>
-      cache;
-};
-SummaryMemo& summary_memo() {
-  static SummaryMemo memo;
-  return memo;
+support::Memo<CostKey, obstacle::CostProfile> cost_memo;
+support::Memo<WorkloadKey, TraceSet> trace_memo;
+support::Memo<WorkloadKey, std::vector<dperf::TraceSummary>> summary_memo;
+
+std::shared_ptr<const TraceSet> shared_traces(const RunSpec& run) {
+  return trace_memo.get(WorkloadKey(run), [&run] {
+    dperf::DperfOptions opt;
+    opt.level = run.level;
+    opt.chunk = run.rcheck;
+    opt.sample_iters = 3 * run.rcheck;
+    const dperf::Dperf pipeline{obstacle::minic_kernel_source(), opt};
+    return pipeline.traces(obstacle::kernel_workload(problem_of(run), run.iters, run.rcheck),
+                           run.rank_count());
+  });
+}
+
+/// The one phase driver behind the reference, predicted and analytic
+/// phases: opens the phase in the trace recorder, deploys fresh
+/// (`lazy_boot` forces passive workers), arms the churn injector when
+/// `churn` is set and the spec churns, and runs `attempt(d, ph)` inside the
+/// phase's "run" span. Under churn a submission can abort (a rank's host
+/// crashed) or find too few peers (crashed ones expired, replacements still
+/// joining), so a failed attempt is re-submitted on the same deployment —
+/// the overlay heals, released survivors and joined replacements are
+/// collected again — up to the spec's budget. An attempt fills the phase's
+/// solve/total/computation fields and returns nullopt, or returns its
+/// failure text; `what` names the phase in the final error.
+template <class Attempt>
+PhaseRecord drive_phase(const ScenarioSpec& spec, const char* phase, const char* what,
+                        bool lazy_boot, bool churn, Attempt&& attempt) {
+  const RunSpec& run = spec.run;
+  obs::TraceRecorder* tr = obs::trace();
+  if (tr) tr->begin_phase(phase);
+  RunSpec booted = run;
+  booted.lazy_boot = booted.lazy_boot || lazy_boot;
+  auto d = deploy(spec.platform, booted);
+  std::optional<churn::Injector> injector;
+  if (churn) injector = make_injector(*d, run);
+  if (injector) injector->arm();
+  const int max_attempts = injector ? std::max(1, run.churn.max_attempts) : 1;
+  if (tr)
+    tr->span_begin(tr->track("run"), phase, d->engine.now(),
+                   {{"peers", run.peers}, {"ranks", run.rank_count()}});
+  PhaseRecord ph;
+  std::optional<std::string> failure;
+  int attempts = 0;
+  do {
+    ++attempts;
+    failure = attempt(*d, ph);
+  } while (failure && attempts < max_attempts);
+  if (tr) tr->span_end(tr->track("run"), d->engine.now());
+  if (failure)
+    throw std::runtime_error(
+        std::string(what) + " failed (" + spec.name + ")" +
+        (churn ? " after " + std::to_string(attempts) + " attempt(s)" : std::string()) +
+        ": " + *failure);
+  ph.platform_hosts = d->platform.host_count();
+  ph.net = d->env->flownet().stats();
+  ph.routes = d->platform.route_stats();
+  ph.engine = d->engine.stats();
+  if (injector) ph.churn = churn_phase_record(*d, *injector, attempts);
+  return ph;
+}
+
+// The prediction replays under the *identical* expanded event stream as
+// the reference (same timeline, same injection seed), so mode=both
+// measures prediction accuracy under churn, not under different luck.
+PhaseRecord predicted_phase(const ScenarioSpec& spec,
+                            const std::shared_ptr<const TraceSet>& traces) {
+  const RunSpec& run = spec.run;
+  return drive_phase(
+      spec, "predicted", "prediction replay", /*lazy_boot=*/false, /*churn=*/true,
+      [&](Deployment& d, PhaseRecord& ph) -> std::optional<std::string> {
+        dperf::Prediction pred = dperf::replay_on(
+            *d.env, d.submitter, obstacle::make_task_spec(config_of(run), run.rank_count()),
+            traces);
+        if (!pred.computation.ok) return std::move(pred.computation.failure);
+        ph.solve_seconds = pred.solve_seconds;
+        ph.total_seconds = pred.total_seconds;
+        ph.computation = std::move(pred.computation);
+        return std::nullopt;
+      });
 }
 
 }  // namespace
 
 const obstacle::CostProfile& cost_profile(ir::OptLevel level, const RunSpec& run) {
-  // Process-wide memo shared by every concurrent campaign run; the mutex
-  // covers lookup and derivation (map references stay valid across inserts,
-  // so returning by reference is safe after unlocking). Derivation is
-  // deterministic, so serializing first-touch cannot change any result;
-  // campaign::Executor pre-warms the profiles its grid needs before fanning
-  // out so workers only ever hit the cached path.
-  CostMemo& memo = cost_memo();
-  const auto key =
-      std::make_tuple(static_cast<int>(level), run.bench_n, run.bench_iters, run.bench_rcheck);
-  std::lock_guard<std::mutex> lock(memo.mutex);
-  auto it = memo.cache.find(key);
-  if (it == memo.cache.end()) {
-    it = memo.cache
-             .emplace(key, obstacle::derive_cost_profile(level, bench_problem_of(run),
-                                                         run.bench_iters, run.bench_rcheck))
-             .first;
-  }
-  return it->second;
+  // Memo entries are never evicted, so the reference outlives the call.
+  const CostKey key{level, run.bench_n, run.bench_iters, run.bench_rcheck};
+  return *cost_memo.get(key, [&] {
+    return obstacle::derive_cost_profile(level, bench_problem_of(run), run.bench_iters,
+                                         run.bench_rcheck);
+  });
 }
 
 MemoStats memo_stats() {
   MemoStats s;
-  {
-    CostMemo& memo = cost_memo();
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    s.cost_profiles = memo.cache.size();
-    s.cost_profile_bytes = memo.cache.size() * sizeof(obstacle::CostProfile);
-  }
-  {
-    TraceMemo& memo = trace_memo();
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    s.trace_sets = memo.cache.size();
-    for (const auto& [key, traces] : memo.cache) {
-      (void)key;
-      for (const dperf::Trace& t : traces)
-        s.trace_bytes += sizeof(dperf::Trace) + t.events.capacity() * sizeof(dperf::TraceEvent);
-    }
-  }
+  s.cost_profiles = cost_memo.values().size();
+  s.cost_profile_bytes = s.cost_profiles * sizeof(obstacle::CostProfile);
+  const auto trace_sets = trace_memo.values();
+  s.trace_sets = trace_sets.size();
+  for (const auto& traces : trace_sets)
+    for (const dperf::Trace& t : *traces)
+      s.trace_bytes += sizeof(dperf::Trace) + t.events.capacity() * sizeof(dperf::TraceEvent);
   return s;
 }
 
@@ -434,176 +488,66 @@ std::unique_ptr<Deployment> Runner::deploy() const {
   return scenario::deploy(spec_.platform, spec_.run);
 }
 
-std::vector<dperf::Trace> Runner::traces() const {
-  // Traces depend only on these run fields — never on the platform — so a
-  // campaign replaying one workload across a platform axis reuses one trace
-  // set instead of re-running the dPerf pipeline per grid cell. Memoized
-  // like cost_profile above: mutex-guarded, deterministic derivation;
-  // campaign::Executor pre-warms the keys its grid needs (mirroring this
-  // tuple) so pooled workers never serialize on a derivation.
-  const RunSpec& run = spec_.run;
-  TraceMemo& memo = trace_memo();
-  const auto key = std::make_tuple(static_cast<int>(run.level), run.rcheck, run.grid_n,
-                                   run.iters, run.rank_count(), run.omega);
-  std::lock_guard<std::mutex> lock(memo.mutex);
-  auto it = memo.cache.find(key);
-  if (it == memo.cache.end()) {
-    dperf::DperfOptions opt;
-    opt.level = run.level;
-    opt.chunk = run.rcheck;
-    opt.sample_iters = 3 * run.rcheck;
-    const dperf::Dperf pipeline{obstacle::minic_kernel_source(), opt};
-    it = memo.cache
-             .emplace(key, pipeline.traces(obstacle::kernel_workload(problem_of(run),
-                                                                     run.iters, run.rcheck),
-                                           run.rank_count()))
-             .first;
-  }
-  return it->second;
-}
+std::vector<dperf::Trace> Runner::traces() const { return *shared_traces(spec_.run); }
 
 PhaseRecord Runner::run_reference() const {
   const RunSpec& run = spec_.run;
-  obs::TraceRecorder* tr = obs::trace();
-  if (tr) tr->begin_phase("reference");
-  auto d = deploy();
-  std::optional<churn::Injector> injector = make_injector(*d, run);
-  if (injector) injector->arm();
-  obstacle::DistributedConfig cfg = config_of(run);
-  cfg.cost = cost_profile(run.level, run);
-  // Under churn a submission can abort (a rank's host crashed) or find too
-  // few peers (crashed ones expired, replacements still joining): re-submit
-  // on the same deployment — the overlay heals, released survivors and
-  // joined replacements are collected again — up to the spec's budget.
-  const int max_attempts = run.churn.enabled() ? std::max(1, run.churn.max_attempts) : 1;
-  if (tr)
-    tr->span_begin(tr->track("run"), "reference", d->engine.now(),
-                   {{"peers", run.peers}, {"ranks", run.rank_count()}});
-  obstacle::SolveReport rep;
-  int attempts = 0;
-  do {
-    ++attempts;
-    rep = obstacle::run_distributed(*d->env, d->submitter, cfg, run.rank_count());
-  } while (!rep.ok && attempts < max_attempts);
-  if (tr) tr->span_end(tr->track("run"), d->engine.now());
-  if (!rep.ok)
-    throw std::runtime_error("reference run failed (" + spec_.name + ") after " +
-                             std::to_string(attempts) + " attempt(s): " + rep.failure);
-  PhaseRecord ph;
-  ph.solve_seconds = rep.solve_seconds;
-  ph.total_seconds = rep.computation.total_time();
-  ph.iterations = rep.iterations;
-  ph.platform_hosts = d->platform.host_count();
-  ph.computation = rep.computation;
-  ph.net = d->env->flownet().stats();
-  ph.routes = d->platform.route_stats();
-  ph.engine = d->engine.stats();
-  if (injector) ph.churn = churn_phase_record(*d, *injector, attempts);
-  return ph;
+  return drive_phase(
+      spec_, "reference", "reference run", /*lazy_boot=*/false, /*churn=*/true,
+      [&run](Deployment& d, PhaseRecord& ph) -> std::optional<std::string> {
+        obstacle::DistributedConfig cfg = config_of(run);
+        cfg.cost = cost_profile(run.level, run);
+        obstacle::SolveReport rep =
+            obstacle::run_distributed(*d.env, d.submitter, cfg, run.rank_count());
+        if (!rep.ok) return std::move(rep.failure);
+        ph.solve_seconds = rep.solve_seconds;
+        ph.total_seconds = rep.computation.total_time();
+        ph.iterations = rep.iterations;
+        ph.computation = std::move(rep.computation);
+        return std::nullopt;
+      });
 }
 
 PhaseRecord Runner::run_predicted(std::vector<dperf::Trace> traces) const {
-  const RunSpec& run = spec_.run;
-  obs::TraceRecorder* tr = obs::trace();
-  if (tr) tr->begin_phase("predicted");
-  auto d = deploy();
-  // The prediction replays under the *identical* expanded event stream as
-  // the reference (same timeline, same injection seed), so mode=both
-  // measures prediction accuracy under churn, not under different luck.
-  std::optional<churn::Injector> injector = make_injector(*d, run);
-  if (injector) injector->arm();
-  obstacle::DistributedConfig cfg = config_of(run);
-  const int max_attempts = run.churn.enabled() ? std::max(1, run.churn.max_attempts) : 1;
-  if (tr)
-    tr->span_begin(tr->track("run"), "predicted", d->engine.now(),
-                   {{"peers", run.peers}, {"ranks", run.rank_count()}});
-  dperf::Prediction pred;
-  int attempts = 0;
-  do {
-    ++attempts;
-    // Copy the traces only while a retry might still need them; the final
-    // permitted attempt (the only one, without churn) moves them.
-    if (attempts >= max_attempts)
-      pred = dperf::replay_on(*d->env, d->submitter,
-                              obstacle::make_task_spec(cfg, run.rank_count()),
-                              std::move(traces));
-    else
-      pred = dperf::replay_on(*d->env, d->submitter,
-                              obstacle::make_task_spec(cfg, run.rank_count()), traces);
-  } while (!pred.computation.ok && attempts < max_attempts);
-  if (tr) tr->span_end(tr->track("run"), d->engine.now());
-  if (!pred.computation.ok)
-    throw std::runtime_error("prediction replay failed (" + spec_.name + ") after " +
-                             std::to_string(attempts) +
-                             " attempt(s): " + pred.computation.failure);
-  PhaseRecord ph;
-  ph.solve_seconds = pred.solve_seconds;
-  ph.total_seconds = pred.total_seconds;
-  ph.platform_hosts = d->platform.host_count();
-  ph.computation = pred.computation;
-  ph.net = d->env->flownet().stats();
-  ph.routes = d->platform.route_stats();
-  ph.engine = d->engine.stats();
-  if (injector) ph.churn = churn_phase_record(*d, *injector, attempts);
-  return ph;
+  return predicted_phase(spec_, std::make_shared<const TraceSet>(std::move(traces)));
 }
 
 PhaseRecord Runner::run_analytic(const std::vector<dperf::Trace>& traces) const {
-  const RunSpec& run = spec_.run;
-  obs::TraceRecorder* tr = obs::trace();
-  if (tr) tr->begin_phase("analytic");
   // A deployment supplies the platform, the booted overlay (tracker lists
   // for the collection model) and the worker placement — but the planner
   // runs zero simulation on it: no events, no flows, no churn injection
-  // (the injector is never armed; the plan prices the churn-free baseline).
-  // Workers boot lazily regardless of the spec's knob: passive registration
-  // yields the identical placement without simulating any peer actors, so
-  // the deployment cost stays out of the plan's per-grid-point budget.
-  RunSpec lazy = run;
-  lazy.lazy_boot = true;
-  auto d = scenario::deploy(spec_.platform, lazy);
-  obstacle::DistributedConfig cfg = config_of(run);
-  if (tr)
-    tr->span_begin(tr->track("run"), "analytic", d->engine.now(),
-                   {{"peers", run.peers}, {"ranks", run.rank_count()}});
-  std::vector<dperf::TraceSummary> summaries;
-  {
-    SummaryMemo& memo = summary_memo();
-    const auto key = std::make_tuple(static_cast<int>(run.level), run.rcheck, run.grid_n,
-                                     run.iters, run.rank_count(), run.omega);
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    auto it = memo.cache.find(key);
-    if (it == memo.cache.end()) {
-      std::vector<dperf::TraceSummary> fresh;
-      fresh.reserve(traces.size());
-      for (const dperf::Trace& t : traces) fresh.push_back(dperf::summarize_trace(t));
-      it = memo.cache.emplace(key, std::move(fresh)).first;
-    }
-    summaries = it->second;
-  }
-  const dperf::AnalyticReport rep =
-      dperf::plan_on(*d->env, d->submitter, obstacle::make_task_spec(cfg, run.rank_count()),
-                     summaries, d->workers);
-  if (tr) tr->span_end(tr->track("run"), d->engine.now());
-  if (!rep.ok)
-    throw std::runtime_error("analytic plan failed (" + spec_.name + "): " + rep.failure);
-  PhaseRecord ph;
-  ph.solve_seconds = rep.solve_seconds;
-  ph.total_seconds = rep.total_seconds;
-  ph.platform_hosts = d->platform.host_count();
-  // Synthetic computation milestones on the planner's clock (t_submit = 0),
-  // so collection_time()/allocation_time()/total_time() read as usual.
-  ph.computation.ok = true;
-  ph.computation.peers = rep.peers;
-  ph.computation.groups = rep.groups;
-  ph.computation.t_submit = 0;
-  ph.computation.t_collected = rep.collection_seconds;
-  ph.computation.t_allocated = rep.collection_seconds + rep.allocation_seconds;
-  ph.computation.t_finished = rep.total_seconds;
-  ph.net = d->env->flownet().stats();
-  ph.routes = d->platform.route_stats();
-  ph.engine = d->engine.stats();
-  return ph;
+  // (the plan prices the churn-free baseline). Workers boot lazily
+  // regardless of the spec's knob: passive registration yields the
+  // identical placement without simulating any peer actors, so the
+  // deployment cost stays out of the plan's per-grid-point budget.
+  const RunSpec& run = spec_.run;
+  return drive_phase(
+      spec_, "analytic", "analytic plan", /*lazy_boot=*/true, /*churn=*/false,
+      [&](Deployment& d, PhaseRecord& ph) -> std::optional<std::string> {
+        const auto summaries = summary_memo.get(WorkloadKey(run), [&traces] {
+          std::vector<dperf::TraceSummary> fresh;
+          fresh.reserve(traces.size());
+          for (const dperf::Trace& t : traces) fresh.push_back(dperf::summarize_trace(t));
+          return fresh;
+        });
+        dperf::AnalyticReport rep =
+            dperf::plan_on(*d.env, d.submitter,
+                           obstacle::make_task_spec(config_of(run), run.rank_count()),
+                           *summaries, d.workers);
+        if (!rep.ok) return std::move(rep.failure);
+        ph.solve_seconds = rep.solve_seconds;
+        ph.total_seconds = rep.total_seconds;
+        // Synthetic computation milestones on the planner's clock
+        // (t_submit = 0), so collection/allocation/total read as usual.
+        ph.computation.ok = true;
+        ph.computation.peers = rep.peers;
+        ph.computation.groups = rep.groups;
+        ph.computation.t_submit = 0;
+        ph.computation.t_collected = rep.collection_seconds;
+        ph.computation.t_allocated = rep.collection_seconds + rep.allocation_seconds;
+        ph.computation.t_finished = rep.total_seconds;
+        return std::nullopt;
+      });
 }
 
 RunRecord Runner::run_phases(const char*& phase) const {
@@ -639,21 +583,21 @@ RunRecord Runner::run_phases(const char*& phase) const {
     phase = "reference";
     rec.reference = run_reference();
   }
-  if (mode == Mode::Predict || mode == Mode::Both) {
+  const bool predicts = mode == Mode::Predict || mode == Mode::Both ||
+                        mode == Mode::BothAnalytic;
+  const bool plans = mode == Mode::Analytic || mode == Mode::BothAnalytic;
+  std::shared_ptr<const TraceSet> tr;
+  if (predicts || plans) {
     phase = "traces";
-    std::vector<dperf::Trace> tr = traces();
-    phase = "predicted";
-    rec.predicted = run_predicted(std::move(tr));
+    tr = shared_traces(spec_.run);
   }
-  if (mode == Mode::Analytic || mode == Mode::BothAnalytic) {
-    phase = "traces";
-    std::vector<dperf::Trace> tr = traces();
-    if (mode == Mode::BothAnalytic) {
-      phase = "predicted";
-      rec.predicted = run_predicted(tr);
-    }
+  if (predicts) {
+    phase = "predicted";
+    rec.predicted = predicted_phase(spec_, tr);
+  }
+  if (plans) {
     phase = "analytic";
-    rec.analytic = run_analytic(tr);
+    rec.analytic = run_analytic(*tr);
   }
   if (recorder) {
     phase = "trace";

@@ -57,8 +57,9 @@ net::Platform build_platform(const PlatformSpec& spec, const RunSpec& run,
 /// when the platform is too small for the run.
 std::unique_ptr<Deployment> deploy(const PlatformSpec& spec, const RunSpec& run);
 
-/// dPerf block-benchmark cost profile for a level (memoized per process,
-/// keyed on level + bench sizing).
+/// dPerf block-benchmark cost profile for a level. Memoized per process on
+/// level + bench sizing: the first caller of a key derives it while callers
+/// of other keys proceed; the reference stays valid for the process.
 const obstacle::CostProfile& cost_profile(ir::OptLevel level, const RunSpec& run);
 
 /// Footprint of the process-wide dPerf memos (cost profiles and trace sets)
@@ -143,10 +144,11 @@ class Runner {
   /// Fresh deployment for this scenario.
   std::unique_ptr<Deployment> deploy() const;
 
-  /// Per-rank dPerf traces (sampled + scaled up) for the spec's workload.
-  /// Platform-independent and memoized per process (mutex-guarded, like
-  /// cost_profile), so replaying one workload across many platforms runs
-  /// the dPerf pipeline once.
+  /// Per-rank dPerf traces (sampled + scaled up) for the spec's workload:
+  /// a copy of the process-wide trace memo's entry. Platform-independent
+  /// and derived once per workload (like cost_profile), so replaying one
+  /// workload across many platforms runs the dPerf pipeline once; run()
+  /// shares the memo's entry instead of copying it.
   std::vector<dperf::Trace> traces() const;
 
   /// Reference execution (Phantom values: full event schedule, no numerics).

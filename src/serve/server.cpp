@@ -11,6 +11,9 @@
 #include <thread>
 #include <utility>
 #include <vector>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "campaign/executor.hpp"
 #include "campaign/spec.hpp"
@@ -57,6 +60,12 @@ Server::Server(ServerOptions opts)
   if (opts_.unix_path.empty() && opts_.tcp_port < 0 && opts_.spool_dir.empty())
     throw std::invalid_argument(
         "pdc_serve needs at least one request source: unix socket, tcp port or spool");
+#ifdef __GLIBC__
+  // A request frees its working set (megabytes) as it ends: keep it in the
+  // heap rather than handing it back and faulting it in on every request.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
   if (!opts_.unix_path.empty()) unix_listener_ = listen_unix(opts_.unix_path);
   if (opts_.tcp_port >= 0) tcp_listener_ = listen_tcp(opts_.tcp_port);
   if (!opts_.spool_dir.empty()) {

@@ -3,11 +3,12 @@
 // A Server listens on a Unix-domain socket and/or loopback TCP and watches a
 // spool directory, accepting `.scn` scenario and `.cmp` campaign requests
 // (serve/protocol.hpp). It stays alive across requests, which is the whole
-// point: the dPerf cost-profile and trace memos (scenario::cost_profile,
-// Runner::traces) stay hot in-process, and complete answers are memoized in
-// an LRU byte-budgeted cache keyed on canonical spec text
-// (serve/cache.hpp) — so the repeated what-if query, the dominant traffic
-// shape at "millions of users" scale, is a map lookup, not a simulation.
+// point: the dPerf memos (scenario::cost_profile, Runner::traces; one
+// derivation per key, distinct keys in parallel) stay hot in-process, and
+// complete answers are memoized in an LRU byte-budgeted cache keyed on
+// canonical spec text (serve/cache.hpp) — so the repeated what-if query,
+// the dominant traffic shape at "millions of users" scale, is a map
+// lookup, not a simulation.
 //
 // Concurrency: requests are handled on a fixed worker pool (`jobs`); each
 // connection carries exactly one request and is served entirely by one

@@ -107,6 +107,47 @@ TEST(CampaignExecutor, PersistsAndResumes) {
   EXPECT_FALSE(fourth.outcomes()[0].skipped);
 }
 
+TEST(CampaignExecutor, ShippedSmokeCampaignRunsThenResumesEverything) {
+  // examples/campaigns/smoke.cmp pins its own quick sizing, so this is the
+  // quick-sized 8-run grid on two workers: the first session executes every
+  // run — workers first-touching the shared dPerf memos concurrently — and
+  // a second session over the same directory resumes every record.
+  std::ifstream in(std::string(PDC_TEST_DATA_DIR) + "/../examples/campaigns/smoke.cmp");
+  ASSERT_TRUE(in);
+  std::stringstream text;
+  text << in.rdbuf();
+  const CampaignSpec spec = parse_campaign(text.str(), scenario::RunSpec::from_env());
+  ScratchDir dir{"smoke"};
+  ExecutorOptions opts;
+  opts.jobs = 2;
+  opts.out_dir = dir.path.string();
+  const CampaignReport first = Executor{spec, opts}.execute();
+  EXPECT_EQ(first.total, 8u);
+  EXPECT_EQ(first.executed, 8u);
+  EXPECT_EQ(first.skipped, 0u);
+  EXPECT_EQ(first.errors, 0u);
+  const CampaignReport second = Executor{spec, opts}.execute();
+  EXPECT_EQ(second.executed, 0u);
+  EXPECT_EQ(second.skipped, 8u);
+  EXPECT_EQ(second.errors, 0u);
+}
+
+TEST(CampaignExecutor, AnalyticCampaignDerivesNoCostProfile) {
+  // Analytic plans never read a block-benchmark cost profile, so running
+  // them must not derive one; the bench sizing is unique to this test, so
+  // any derivation would show up as a new memo entry.
+  CampaignSpec spec = tiny_campaign();
+  spec.base.run.mode = scenario::Mode::Analytic;
+  spec.base.run.bench_n = 23;
+  ExecutorOptions opts;
+  opts.jobs = 2;
+  const std::size_t before = scenario::memo_stats().cost_profiles;
+  const CampaignReport report = Executor{spec, opts}.execute();
+  EXPECT_EQ(report.executed, 2u);
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_EQ(scenario::memo_stats().cost_profiles, before);
+}
+
 TEST(CampaignExecutor, ResumeRejectsRecordsFromDifferentBaseScenario) {
   ScratchDir dir{"stale"};
   ExecutorOptions opts;

@@ -85,7 +85,8 @@ int main() {
   for (int i = 2; i < 5; ++i)
     env.boot_peer(plat.host(i), overlay::PeerResources{3e9, 1e9, 1e9});
   env.finish_bootstrap();
-  const auto pred = dperf::replay_on(env, plat.host(2), p2pdc::TaskSpec{}, traces);
+  const auto pred = dperf::replay_on(env, plat.host(2), p2pdc::TaskSpec{},
+                                     std::make_shared<const std::vector<dperf::Trace>>(traces));
   ASSERT_TRUE(pred.computation.ok) << pred.computation.failure;
   EXPECT_GT(pred.solve_seconds, 0);
 }
@@ -114,7 +115,8 @@ TEST(IntegrationGaps, TraceSurvivesSerializationThroughReplay) {
     for (int i = 2; i < 6; ++i)
       env.boot_peer(plat.host(i), overlay::PeerResources{3e9, 1e9, 1e9});
     env.finish_bootstrap();
-    const auto pred = dperf::replay_on(env, plat.host(2), p2pdc::TaskSpec{}, ts);
+    const auto pred = dperf::replay_on(env, plat.host(2), p2pdc::TaskSpec{},
+                                     std::make_shared<const std::vector<dperf::Trace>>(ts));
     EXPECT_TRUE(pred.computation.ok) << pred.computation.failure;
     return pred.solve_seconds;
   };
@@ -146,7 +148,8 @@ int main() {
     env.boot_peer(plat.host(2), overlay::PeerResources{hz, 1e9, 1e9});
     env.boot_peer(plat.host(3), overlay::PeerResources{hz, 1e9, 1e9});
     env.finish_bootstrap();
-    const auto pred = dperf::replay_on(env, plat.host(2), p2pdc::TaskSpec{}, traces);
+    const auto pred = dperf::replay_on(env, plat.host(2), p2pdc::TaskSpec{},
+                                     std::make_shared<const std::vector<dperf::Trace>>(traces));
     EXPECT_TRUE(pred.computation.ok) << pred.computation.failure;
     return pred.solve_seconds;
   };

@@ -227,7 +227,8 @@ TEST(Prediction, MatchesReferenceOnSamePlatform) {
     DistributedConfig cfg;
     cfg.problem = p;
     const dperf::Prediction pred = dperf::replay_on(
-        *d.env, d.plat.host(2), make_task_spec(cfg, peers), std::move(traces));
+        *d.env, d.plat.host(2), make_task_spec(cfg, peers),
+        std::make_shared<const std::vector<dperf::Trace>>(std::move(traces)));
     ASSERT_TRUE(pred.computation.ok) << pred.computation.failure;
     predicted = pred.solve_seconds;
   }

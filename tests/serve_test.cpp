@@ -4,6 +4,7 @@
 // cheaper than the first (the warm/cold split the serve layer exists for).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -228,15 +229,20 @@ TEST(Serve, SecondRequestIsAByteIdenticalCacheHitAndMuchFaster) {
   ASSERT_TRUE(cold.ok) << cold.body;
   EXPECT_EQ(cold.tag, "miss");
 
-  const auto t_warm = std::chrono::steady_clock::now();
-  const Response warm = roundtrip(port, run);
-  const double warm_s = seconds_since(t_warm);
-  ASSERT_TRUE(warm.ok) << warm.body;
-  EXPECT_EQ(warm.tag, "hit");
-
   // The entire point of the resident daemon: the memoized answer is the
-  // same bytes, for orders of magnitude less work.
-  EXPECT_EQ(warm.body, cold.body);
+  // same bytes, for orders of magnitude less work. The warm time is the
+  // best of several hits, so one descheduled round trip on a loaded host
+  // cannot fake a slow cache.
+  constexpr int kWarmRequests = 5;
+  double warm_s = 1e300;
+  for (int i = 0; i < kWarmRequests; ++i) {
+    const auto t_warm = std::chrono::steady_clock::now();
+    const Response warm = roundtrip(port, run);
+    warm_s = std::min(warm_s, seconds_since(t_warm));
+    ASSERT_TRUE(warm.ok) << warm.body;
+    EXPECT_EQ(warm.tag, "hit");
+    EXPECT_EQ(warm.body, cold.body);
+  }
   EXPECT_GE(cold_s / warm_s, 50.0)
       << "cold=" << cold_s << "s warm=" << warm_s << "s";
 
@@ -253,8 +259,8 @@ TEST(Serve, SecondRequestIsAByteIdenticalCacheHitAndMuchFaster) {
   const Response stats = roundtrip(port, Request{RequestKind::Stats, ""});
   ASSERT_TRUE(stats.ok);
   const JsonValue doc = parse_json(stats.body);
-  EXPECT_EQ(doc.at("scenario_requests").as_double(), 3.0);
-  EXPECT_EQ(doc.at("cache").at("hits").as_double(), 2.0);
+  EXPECT_EQ(doc.at("scenario_requests").as_double(), kWarmRequests + 2.0);
+  EXPECT_EQ(doc.at("cache").at("hits").as_double(), kWarmRequests + 1.0);
   EXPECT_EQ(doc.at("cache").at("misses").as_double(), 1.0);
   EXPECT_GE(doc.at("memos").at("trace_sets").as_double(), 0.0);
 }

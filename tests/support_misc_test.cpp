@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "support/csv.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
+#include "support/memo.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/time.hpp"
@@ -176,6 +184,74 @@ TEST(LogRunTag, NestsAndRestores) {
     EXPECT_EQ(log_run_tag(), "outer-run");
   }
   EXPECT_EQ(log_run_tag(), "");
+}
+
+TEST(Memo, SameKeyDerivesOnceAndSharesOnePointer) {
+  support::Memo<int, int> memo;
+  std::atomic<int> derivations{0};
+  std::atomic<bool> go{false};
+  std::vector<support::Memo<int, int>::Ptr> got(8);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    threads.emplace_back([&, i] {
+      while (!go) std::this_thread::yield();
+      got[i] = memo.get(1, [&] {
+        ++derivations;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return 42;
+      });
+    });
+  go = true;
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(derivations, 1);
+  for (const auto& p : got) {
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p, got[0]);
+    EXPECT_EQ(*p, 42);
+  }
+  EXPECT_EQ(memo.values().size(), 1u);
+}
+
+TEST(Memo, DistinctKeysDeriveConcurrently) {
+  // Each deriver waits for the other to arrive. Under a lock held across
+  // derivation the first one times out (and the test fails) instead of
+  // hanging.
+  support::Memo<int, bool> memo;
+  std::mutex mutex;
+  std::condition_variable cv;
+  int arrived = 0;
+  auto rendezvous = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++arrived;
+    cv.notify_all();
+    return cv.wait_for(lock, std::chrono::seconds(10), [&] { return arrived == 2; });
+  };
+  support::Memo<int, bool>::Ptr a, b;
+  std::thread ta([&] { a = memo.get(1, rendezvous); });
+  std::thread tb([&] { b = memo.get(2, rendezvous); });
+  ta.join();
+  tb.join();
+  EXPECT_TRUE(*a);
+  EXPECT_TRUE(*b);
+}
+
+TEST(Memo, ThrowingDerivationIsRetriedNotCached) {
+  support::Memo<int, int> memo;
+  int derivations = 0;
+  EXPECT_THROW(memo.get(7,
+                        [&]() -> int {
+                          ++derivations;
+                          throw std::runtime_error("transient");
+                        }),
+               std::runtime_error);
+  EXPECT_TRUE(memo.values().empty());
+  const auto p = memo.get(7, [&] {
+    ++derivations;
+    return 5;
+  });
+  EXPECT_EQ(*p, 5);
+  EXPECT_EQ(derivations, 2);
+  EXPECT_EQ(memo.get(7, [] { return 6; }), p);
 }
 
 }  // namespace
