@@ -4,7 +4,7 @@
 // accelerates allocation and avoids the bottleneck at the submitter.
 #include <cstdio>
 
-#include "experiments/harness.hpp"
+#include "scenario/runner.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -17,7 +17,9 @@ int main() {
     double alloc[2], total[2];
     int i = 0;
     for (auto mode : {p2pdc::AllocationMode::Hierarchical, p2pdc::AllocationMode::Flat}) {
-      auto d = experiments::deploy(experiments::Topology::Grid5000, peers);
+      scenario::RunSpec run;
+      run.peers = peers;
+      auto d = scenario::deploy(scenario::PlatformSpec::grid5000(), run);
       p2pdc::TaskSpec spec;
       spec.peers_needed = peers;
       spec.cmax = 8;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,6 +73,8 @@ int daisy_host_count(const DaisySpec& spec) {
 }
 
 Platform build_daisy(const DaisySpec& spec, Rng& rng) {
+  if (spec.central_routers < 1 || spec.routers_per_petal < 1 || spec.dslams_per_router < 1)
+    throw std::invalid_argument("daisy needs petals, petal_routers and dslams >= 1");
   Platform p;
   // Central ring (l1 @ 100 Gbps).
   std::vector<NodeIdx> center;
@@ -173,6 +176,7 @@ Platform build_federation(const FederationSpec& spec) {
 }
 
 Platform build_wan(const WanSpec& spec, Rng& rng) {
+  if (spec.routers < 1) throw std::invalid_argument("wan needs routers >= 1");
   Platform p;
   std::vector<NodeIdx> routers;
   for (int r = 0; r < spec.routers; ++r)

@@ -58,6 +58,8 @@ struct DaisySpec {
   Time last_mile_latency = 2 * 1e-3;    // DSL line latency
 };
 
+/// Throws std::invalid_argument unless petals, petal routers and DSLAMs
+/// per router are all >= 1.
 Platform build_daisy(const DaisySpec& spec, Rng& rng);
 
 /// Total number of end hosts `build_daisy` creates for a spec.
@@ -102,6 +104,7 @@ struct WanSpec {
   Time core_lat_max = 20 * 1e-3;
 };
 
+/// Throws std::invalid_argument when `routers` < 1.
 Platform build_wan(const WanSpec& spec, Rng& rng);
 
 /// Barabási–Albert scale-free topology: a router core grown by preferential

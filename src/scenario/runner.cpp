@@ -73,6 +73,10 @@ void boot_worker(Deployment& d, const RunSpec& run, net::NodeIdx h) {
 /// the whole desktop grid, seed-deterministic.
 void deploy_daisy(Deployment& d, const net::DaisySpec& spec, const RunSpec& run) {
   const int hosts = d.platform.host_count();
+  const int needed = run.peers + 2 + spec.central_routers;
+  if (hosts < needed)
+    throw std::runtime_error("platform has " + std::to_string(hosts) +
+                             " hosts, run needs " + std::to_string(needed));
   d.env->boot_server(d.platform.host(0));
   const int per_petal = hosts / spec.central_routers;
   std::vector<int> used{0};
@@ -551,6 +555,8 @@ PhaseRecord Runner::run_analytic(const std::vector<dperf::Trace>& traces) const 
 }
 
 RunRecord Runner::run_phases(const char*& phase) const {
+  if (spec_.run.peers < 1)
+    throw std::runtime_error("peers (" + std::to_string(spec_.run.peers) + ") must be >= 1");
   if (spec_.run.ranks > spec_.run.peers)
     throw std::runtime_error("ranks (" + std::to_string(spec_.run.ranks) +
                              ") exceed peers (" + std::to_string(spec_.run.peers) + ")");

@@ -3,9 +3,10 @@
 // dPerf prediction the spec asks for, and returns a structured RunRecord
 // that serializes to JSON through the shared support writer.
 //
-// This subsumes the old experiments::Deployment/free-function API: the
-// experiments harness is now a thin compatibility shim over this Runner,
-// and every bench/example drives scenarios instead of hand-rolled drivers.
+// Every bench and example drives scenarios through this Runner (the paper
+// tables run whole campaign files through campaign::Executor, which runs
+// each grid cell here); scenario::deploy stays public for benches that
+// drive a raw P2PDC computation on a deployed platform.
 #pragma once
 
 #include <cstddef>

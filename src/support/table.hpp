@@ -1,5 +1,5 @@
-// Plain-text table rendering for the experiment harness: the figure/table
-// benches print rows in the same layout as the paper's figures.
+// Plain-text table rendering: the paper-table and ablation benches print
+// rows in the same layout as the paper's figures.
 #pragma once
 
 #include <string>

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "net/builders.hpp"
 #include "support/rng.hpp"
 #include "support/time.hpp"
@@ -160,6 +162,21 @@ TEST(Builders, DaisyDeterministicForFixedSeed) {
   ASSERT_EQ(p1.link_count(), p2.link_count());
   for (int l = 0; l < p1.link_count(); l += 101)
     EXPECT_DOUBLE_EQ(p1.link(l).bandwidth_Bps, p2.link(l).bandwidth_Bps);
+}
+
+// Zero counts used to crash the generators (empty vectors indexed, a
+// modulo by zero routers); they are argument errors now.
+TEST(Builders, DegenerateGeneratorCountsThrow) {
+  Rng rng{42};
+  for (int DaisySpec::*count : {&DaisySpec::central_routers, &DaisySpec::routers_per_petal,
+                                &DaisySpec::dslams_per_router}) {
+    DaisySpec spec;
+    spec.*count = 0;
+    EXPECT_THROW(build_daisy(spec, rng), std::invalid_argument);
+  }
+  WanSpec wan;
+  wan.routers = 0;
+  EXPECT_THROW(build_wan(wan, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 
 #include "net/platfile.hpp"
@@ -25,6 +29,40 @@ RunSpec smoke_run(int peers) {
   run.bench_iters = 6;
   run.bench_rcheck = 3;
   return run;
+}
+
+/// Parses `text` over the smoke sizing and runs it through try_run in a
+/// forked child under a wall-clock alarm: the run must come back as an
+/// error record whose text contains `error`. A crash, a hang (the alarm
+/// kills the child) or any other record fails the test without taking the
+/// suite down or stalling it.
+void expect_error_record(const std::string& text, const std::string& error) {
+  const ScenarioSpec spec = parse_scenario(text, smoke_run(4));
+  EXPECT_EXIT(
+      {
+        alarm(30);
+        const RunRecord rec = Runner{spec}.try_run();
+        std::fprintf(stderr, "%s\n", rec.error.c_str());
+        std::exit(!rec.ok() && rec.error.find(error) != std::string::npos ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "")
+      << text;
+}
+
+TEST(ScenarioRunner, ZeroPeersIsAnErrorRecord) {
+  for (const char* platform : {"grid5000", "lan", "xdsl", "federation", "wan"})
+    expect_error_record(std::string("platform ") + platform + "\npeers 0\n",
+                        "peers (0) must be >= 1");
+}
+
+TEST(ScenarioRunner, UnfitPlatformIsAnErrorRecord) {
+  // The Daisy grid has 1024 hosts; 1100 workers plus server, submitter and
+  // one tracker per petal cannot fit.
+  expect_error_record("platform xdsl\npeers 1100\n", "platform has 1024 hosts, run needs 1107");
+  for (const char* line : {"platform daisy petals=0", "platform daisy petal_routers=0",
+                           "platform daisy dslams=0"})
+    expect_error_record(std::string(line) + "\n", "daisy needs");
+  expect_error_record("platform wan routers=0\n", "wan needs routers >= 1");
 }
 
 TEST(ScenarioRunner, DeploysEveryPlatformKind) {

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "campaign/spec.hpp"
 
 namespace pdc::scenario {
 namespace {
@@ -157,6 +162,48 @@ TEST(ScenarioSpec, RunSpecFromEnvHonoursQuickFlag) {
   EXPECT_LT(quick.grid_n, full.grid_n);
   EXPECT_LT(quick.iters, full.iters);
   EXPECT_EQ(full.grid_n, 1538);
+}
+
+// Every shipped scenario and campaign file parses and renders to a fixed
+// point. Files that do not ask for an analytic mode render without the word
+// "analytic": their canonical text (the serve memo key and the campaign
+// resume identity) predates the analytic modes and must not change.
+TEST(ScenarioSpec, ShippedFilesRenderToFixpoint) {
+  namespace fs = std::filesystem;
+  const fs::path examples = fs::path(PDC_TEST_DATA_DIR) / ".." / "examples";
+  int files = 0;
+  for (const char* dir : {"scenarios", "campaigns"}) {
+    for (const fs::directory_entry& entry : fs::directory_iterator(examples / dir)) {
+      const fs::path& path = entry.path();
+      std::ifstream in(path);
+      std::stringstream text;
+      text << in.rdbuf();
+      std::string first, second;
+      Mode mode;
+      if (path.extension() == ".scn") {
+        const ScenarioSpec spec = parse_scenario(text.str());
+        first = render_scenario(spec);
+        second = render_scenario(parse_scenario(first));
+        mode = spec.run.mode;
+      } else if (path.extension() == ".cmp") {
+        const campaign::CampaignSpec spec = campaign::parse_campaign(text.str());
+        first = campaign::render_campaign(spec);
+        second = campaign::render_campaign(campaign::parse_campaign(first));
+        mode = spec.base.run.mode;
+      } else {
+        continue;
+      }
+      ++files;
+      EXPECT_EQ(first, second) << path;
+      if (mode == Mode::Analytic || mode == Mode::BothAnalytic)
+        EXPECT_NE(first.find(std::string("\nmode ") + mode_name(mode) + "\n"),
+                  std::string::npos)
+            << path;
+      else
+        EXPECT_EQ(first.find("analytic"), std::string::npos) << path;
+    }
+  }
+  EXPECT_GE(files, 19);  // the 10 scenarios and 9 campaigns shipped today
 }
 
 }  // namespace
