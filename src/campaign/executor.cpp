@@ -359,9 +359,8 @@ CampaignReport aggregate_outcomes(const std::string& campaign_name,
       p.platform_kind = s.platform.kind();
       p.peers = s.run.peers;
       p.opt = ir::opt_level_name(s.run.level);
-      p.scheme = s.run.scheme == p2psap::Scheme::Synchronous ? "sync" : "async";
-      p.alloc = s.run.allocation == p2pdc::AllocationMode::Hierarchical ? "hierarchical"
-                                                                        : "flat";
+      p.scheme = scenario::render_run_value(s.run, "scheme");
+      p.alloc = scenario::render_run_value(s.run, "alloc");
       p.seed = s.run.seed;
       report.points.push_back(std::move(p));
       samples.emplace_back();

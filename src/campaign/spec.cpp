@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -15,22 +14,6 @@ namespace {
 
 using scenario::PlatformSpec;
 using scenario::ScenarioError;
-
-int parse_int(const std::string& text, int line, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0')
-    throw ScenarioError(line, std::string("bad ") + what + " '" + text + "'");
-  return static_cast<int>(v);
-}
-
-std::uint64_t parse_u64(const std::string& text, int line, const char* what) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0')
-    throw ScenarioError(line, std::string("bad ") + what + " '" + text + "'");
-  return v;
-}
 
 /// Sweep values may be comma- and/or space-separated; flatten both.
 std::vector<std::string> sweep_values(const std::vector<std::string>& tok,
@@ -46,18 +29,6 @@ std::vector<std::string> sweep_values(const std::vector<std::string>& tok,
   return out;
 }
 
-PlatformSpec preset_platform(const std::string& name, int line) {
-  if (name == "grid5000") return PlatformSpec::grid5000();
-  if (name == "lan") return PlatformSpec::lan();
-  if (name == "xdsl") return PlatformSpec::xdsl();
-  if (name == "federation") return PlatformSpec::federation();
-  if (name == "wan") return PlatformSpec::wan();
-  if (name == "scale_free") return PlatformSpec::scale_free();
-  if (name == "small_world") return PlatformSpec::small_world();
-  throw ScenarioError(line, "unknown platform preset '" + name +
-                                "' (use a `variant` line for parameterized platforms)");
-}
-
 /// Keys name run-record files: keep [A-Za-z0-9._-], map the rest to '_'.
 std::string sanitize_key(const std::string& s) {
   std::string out;
@@ -70,12 +41,27 @@ std::string sanitize_key(const std::string& s) {
   return out;
 }
 
-const char* scheme_key(p2psap::Scheme s) {
-  return s == p2psap::Scheme::Synchronous ? "sync" : "async";
-}
-
+/// Run-key abbreviation of the allocation mode: part of every run key, so
+/// of every campaign's resume identity.
 const char* alloc_key(p2pdc::AllocationMode a) {
   return a == p2pdc::AllocationMode::Hierarchical ? "hier" : "flat";
+}
+
+/// The scalar sweep axes, in render order: each calls
+/// `visit(axis, scenario keyword, values, field)`, where `field` picks the
+/// swept RunSpec field. Values parse and render through the keyword's row.
+template <class Campaign, class Visit>
+void for_each_axis(Campaign& c, Visit&& visit) {
+  using scenario::RunSpec;
+  visit("peers", "peers", c.peers, [](RunSpec& r) -> auto& { return r.peers; });
+  visit("opt", "opt", c.levels, [](RunSpec& r) -> auto& { return r.level; });
+  visit("scheme", "scheme", c.schemes, [](RunSpec& r) -> auto& { return r.scheme; });
+  visit("alloc", "alloc", c.allocations, [](RunSpec& r) -> auto& { return r.allocation; });
+  visit("seed", "seed", c.seeds, [](RunSpec& r) -> auto& { return r.seed; });
+  visit("churn_rate", "churn rate", c.churn_rates,
+        [](RunSpec& r) -> auto& { return r.churn.peer_crash_rate; });
+  visit("churn_seed", "churn seed", c.churn_seeds,
+        [](RunSpec& r) -> auto& { return r.churn.seed; });
 }
 
 }  // namespace
@@ -162,29 +148,29 @@ std::vector<CampaignRun> expand(const CampaignSpec& spec) {
               for (double churn_rate : churn_rates)
                 for (std::uint64_t churn_seed : churn_seeds)
                   for (int rep = 0; rep < spec.repetitions; ++rep) {
-                    const PlatformSpec& platform = platforms[plat];
                     CampaignRun run;
                     run.index = runs.size();
                     run.repetition = rep;
-                    run.point_key = platform_keys[plat] + "-p" + std::to_string(p) +
-                                    "-" + ir::opt_level_name(level) + "-" +
-                                    scheme_key(scheme) + "-" + alloc_key(alloc) +
-                                    "-s" + std::to_string(seed);
+                    run.spec = spec.base;
+                    scenario::RunSpec& r = run.spec.run;
+                    run.spec.platform = platforms[plat];
+                    r.peers = p;
+                    r.level = level;
+                    r.scheme = scheme;
+                    r.allocation = alloc;
+                    r.seed = seed;
+                    r.churn.peer_crash_rate = churn_rate;
+                    r.churn.seed = churn_seed;
+                    run.point_key = platform_keys[plat] + "-p" + std::to_string(p) + "-" +
+                                    ir::opt_level_name(level) + "-" +
+                                    scenario::render_run_value(r, "scheme") + "-" +
+                                    alloc_key(alloc) + "-s" + std::to_string(seed);
                     if (sweep_churn_rate)
                       run.point_key += "-cr" + sanitize_key(format_shortest(churn_rate));
                     if (sweep_churn_seed)
                       run.point_key += "-cs" + std::to_string(churn_seed);
                     run.key = run.point_key + "-r" + std::to_string(rep);
-                    run.spec = spec.base;
                     run.spec.name = spec.name + "/" + run.key;
-                    run.spec.platform = platform;
-                    run.spec.run.peers = p;
-                    run.spec.run.level = level;
-                    run.spec.run.scheme = scheme;
-                    run.spec.run.allocation = alloc;
-                    run.spec.run.seed = seed;
-                    run.spec.run.churn.peer_crash_rate = churn_rate;
-                    run.spec.run.churn.seed = churn_seed;
                     runs.push_back(std::move(run));
                   }
   return runs;
@@ -223,7 +209,7 @@ CampaignSpec parse_campaign(const std::string& text, const scenario::RunSpec& ba
   bool in_inline = false;  // inside a `platform inline ... end` block
   while (std::getline(in, line)) {
     ++lineno;
-    const auto tok = scenario::tokenize_spec_line(line);
+    const auto tok = keys::tokenize(line);
     if (in_inline) {
       scenario_text += line;
       scenario_text += '\n';
@@ -239,57 +225,37 @@ CampaignSpec parse_campaign(const std::string& text, const scenario::RunSpec& ba
       named = true;
     } else if (kw == "repetitions") {
       if (tok.size() != 2) throw ScenarioError(lineno, "expected: repetitions <n>");
-      spec.repetitions = parse_int(tok[1], lineno, "repetitions");
-      if (spec.repetitions < 1) throw ScenarioError(lineno, "repetitions < 1");
+      try {
+        spec.repetitions = keys::Int{.min = 1}.parse(tok[1], "repetitions");
+      } catch (const std::invalid_argument& e) {
+        throw ScenarioError(lineno, e.what());
+      }
     } else if (kw == "sweep") {
       if (tok.size() < 3) throw ScenarioError(lineno, "expected: sweep <axis> <values>");
       const std::string& axis = tok[1];
       const auto values = sweep_values(tok, 2, lineno);
-      if (axis == "peers") {
-        for (const auto& v : values)
-          spec.peers.push_back(parse_int(v, lineno, "peers"));
-      } else if (axis == "opt") {
+      if (axis == "platform") {
         for (const auto& v : values) {
-          try {
-            spec.levels.push_back(ir::parse_opt_level(v));
-          } catch (const std::invalid_argument& e) {
-            throw ScenarioError(lineno, e.what());
-          }
+          auto preset = PlatformSpec::preset(v);
+          if (!preset)
+            throw ScenarioError(lineno, "unknown platform preset '" + v +
+                                            "' (use a `variant` line for parameterized "
+                                            "platforms)");
+          spec.platforms.push_back(std::move(*preset));
         }
-      } else if (axis == "scheme") {
-        for (const auto& v : values) {
-          if (v == "sync") spec.schemes.push_back(p2psap::Scheme::Synchronous);
-          else if (v == "async") spec.schemes.push_back(p2psap::Scheme::Asynchronous);
-          else throw ScenarioError(lineno, "unknown scheme '" + v + "'");
-        }
-      } else if (axis == "alloc") {
-        for (const auto& v : values) {
-          if (v == "hierarchical")
-            spec.allocations.push_back(p2pdc::AllocationMode::Hierarchical);
-          else if (v == "flat") spec.allocations.push_back(p2pdc::AllocationMode::Flat);
-          else throw ScenarioError(lineno, "unknown allocation '" + v + "'");
-        }
-      } else if (axis == "seed") {
-        for (const auto& v : values)
-          spec.seeds.push_back(parse_u64(v, lineno, "seed"));
-      } else if (axis == "churn_rate") {
-        for (const auto& v : values) {
-          char* end = nullptr;
-          const double rate = std::strtod(v.c_str(), &end);
-          // !(rate >= 0) also rejects NaN, which would otherwise key a
-          // grid point "-crnan".
-          if (end == v.c_str() || *end != '\0' || !(rate >= 0))
-            throw ScenarioError(lineno, "bad churn_rate '" + v + "'");
-          spec.churn_rates.push_back(rate);
-        }
-      } else if (axis == "churn_seed") {
-        for (const auto& v : values)
-          spec.churn_seeds.push_back(parse_u64(v, lineno, "churn_seed"));
-      } else if (axis == "platform") {
-        for (const auto& v : values)
-          spec.platforms.push_back(preset_platform(v, lineno));
       } else {
-        throw ScenarioError(lineno, "unknown sweep axis '" + axis + "'");
+        bool known = false;
+        for_each_axis(spec, [&](const char* name, const char* keyword, auto& axis_values,
+                                auto field) {
+          if (axis != name) return;
+          known = true;
+          for (const auto& v : values) {
+            scenario::RunSpec run;
+            scenario::parse_run_value(run, keyword, v, lineno);
+            axis_values.push_back(field(run));
+          }
+        });
+        if (!known) throw ScenarioError(lineno, "unknown sweep axis '" + axis + "'");
       }
     } else if (kw == "variant") {
       if (tok.size() < 2)
@@ -330,35 +296,17 @@ std::string render_campaign(const CampaignSpec& spec) {
       out << "variant" << line.substr(std::string("platform").size()) << "\n";
     }
   }
-  auto join = [&out](const char* axis, const std::vector<std::string>& values) {
-    if (values.empty()) return;
-    out << "sweep " << axis << " ";
-    for (std::size_t i = 0; i < values.size(); ++i)
-      out << (i > 0 ? "," : "") << values[i];
+  for_each_axis(spec, [&out](const char* name, const char* keyword, const auto& axis_values,
+                              auto field) {
+    if (axis_values.empty()) return;
+    out << "sweep " << name << " ";
+    for (std::size_t i = 0; i < axis_values.size(); ++i) {
+      scenario::RunSpec run;
+      field(run) = axis_values[i];
+      out << (i > 0 ? "," : "") << scenario::render_run_value(run, keyword);
+    }
     out << "\n";
-  };
-  std::vector<std::string> v;
-  for (int p : spec.peers) v.push_back(std::to_string(p));
-  join("peers", v);
-  v.clear();
-  for (ir::OptLevel l : spec.levels) v.push_back(ir::opt_level_name(l));
-  join("opt", v);
-  v.clear();
-  for (p2psap::Scheme s : spec.schemes) v.push_back(scheme_key(s));
-  join("scheme", v);
-  v.clear();
-  for (p2pdc::AllocationMode a : spec.allocations)
-    v.push_back(a == p2pdc::AllocationMode::Hierarchical ? "hierarchical" : "flat");
-  join("alloc", v);
-  v.clear();
-  for (std::uint64_t s : spec.seeds) v.push_back(std::to_string(s));
-  join("seed", v);
-  v.clear();
-  for (double r : spec.churn_rates) v.push_back(format_shortest(r));
-  join("churn_rate", v);
-  v.clear();
-  for (std::uint64_t s : spec.churn_seeds) v.push_back(std::to_string(s));
-  join("churn_seed", v);
+  });
   out << "repetitions " << spec.repetitions << "\n";
   return out.str();
 }

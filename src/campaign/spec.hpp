@@ -7,9 +7,8 @@
 // runs across a thread pool.
 //
 // Text format (.cmp), a superset of the scenario format: every scenario
-// keyword (platform, peers, opt, mode, alloc, scheme, seed, grid, iters,
-// rcheck, bench, omega, cmax, including `platform inline ... end` blocks)
-// sets the *base* scenario, plus:
+// keyword (platform, peers, opt, mode, ..., churn, including `platform
+// inline ... end` blocks) sets the *base* scenario, plus:
 //
 //   campaign <name>                 # campaign (and default record) name
 //   sweep peers 2,4,8               # axis: worker counts
@@ -21,14 +20,17 @@
 //                                   #   overrides the base `churn rate`
 //   sweep churn_seed 1,2,3          # axis: churn event-stream seeds
 //   sweep platform grid5000 lan     # axis: platform presets (grid5000 |
-//                                   #   lan | xdsl | federation | wan)
+//                                   #   lan | xdsl | federation | wan |
+//                                   #   scale_free | small_world)
 //   variant star hosts=8 speed=2GHz # axis: one parameterized platform
 //   variant file my_network.plat    #   variant per `variant` line (same
 //                                   #   syntax as a `platform ...` line)
 //   repetitions <n>                 # repeated runs per grid point
 //
-// Sweep values are comma- or space-separated. Unswept axes keep the base
-// scenario's value (an axis of size one). See examples/campaigns/.
+// Sweep values are comma- or space-separated, and each parses exactly as
+// the scenario keyword it sweeps (`churn_rate` as `churn rate`). Unswept
+// axes keep the base scenario's value (an axis of size one). See
+// examples/campaigns/.
 #pragma once
 
 #include <cstddef>

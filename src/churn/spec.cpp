@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "support/json.hpp"
@@ -25,84 +22,50 @@ double exponential(Rng& rng, double rate) {
   return -std::log(1.0 - rng.uniform(0.0, 1.0)) / rate;
 }
 
-double parse_number(const std::string& text, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  // Non-finite values are never meaningful here: `horizon inf` would make
-  // model expansion unbounded and `at=nan` would break the engine's event
-  // ordering, so reject them at parse time with a diagnostic.
-  if (end == text.c_str() || *end != '\0' || !std::isfinite(v))
-    throw std::invalid_argument(std::string("bad churn ") + what + " '" + text + "'");
-  return v;
-}
+// Churn values are finite: `horizon inf` would make model expansion
+// unbounded and `at=nan` would break the engine's event ordering.
+const keys::Real kNonNegative{.min = 0};
+const keys::Real kScale{.min = 0, .max = 1, .above_min = true};
 
-int parse_index(const std::string& text, const char* what) {
-  const double v = parse_number(text, what);
-  // The range check also keeps the cast below defined (double -> int
-  // overflow is UB).
-  if (v != std::floor(v) || std::abs(v) > 2147483647.0)
-    throw std::invalid_argument(std::string("bad churn ") + what + " '" + text + "'");
-  return static_cast<int>(v);
-}
+constexpr std::pair<ChurnEvent::Kind, const char*> kEventKindNames[] = {
+    {ChurnEvent::Kind::PeerCrash, "crash-peer"},
+    {ChurnEvent::Kind::PeerJoin, "join"},
+    {ChurnEvent::Kind::TrackerCrash, "crash-tracker"},
+    {ChurnEvent::Kind::LinkDegrade, "degrade"},
+    {ChurnEvent::Kind::LinkRestore, "restore"},
+};
+const keys::Names<ChurnEvent::Kind> kEventKinds{kEventKindNames};
 
-/// key=value map for one `churn event <kind> ...` line; throws on dupes and
-/// malformed pairs so typos surface instead of silently applying defaults.
-std::map<std::string, std::string> event_params(const std::vector<std::string>& tok,
-                                                std::size_t first) {
-  std::map<std::string, std::string> out;
-  for (std::size_t i = first; i < tok.size(); ++i) {
-    const auto eq = tok[i].find('=');
-    if (eq == std::string::npos || eq == 0)
-      throw std::invalid_argument("expected key=value, got '" + tok[i] + "'");
-    if (!out.emplace(tok[i].substr(0, eq), tok[i].substr(eq + 1)).second)
-      throw std::invalid_argument("duplicate event key '" + tok[i].substr(0, eq) + "'");
+/// The key naming an event's target, or nullptr for kinds without one.
+const char* target_key(ChurnEvent::Kind k) {
+  switch (k) {
+    case ChurnEvent::Kind::PeerCrash: return "peer";
+    case ChurnEvent::Kind::PeerJoin: return nullptr;
+    case ChurnEvent::Kind::TrackerCrash: return "tracker";
+    case ChurnEvent::Kind::LinkDegrade:
+    case ChurnEvent::Kind::LinkRestore: return "link";
   }
-  return out;
+  return nullptr;
 }
 
 ChurnEvent parse_event(const std::vector<std::string>& tok) {
-  if (tok.size() < 3)
-    throw std::invalid_argument(
-        "expected: churn event <crash-peer|join|crash-tracker|degrade|restore> "
-        "at=<s> ...");
-  const std::string& kind = tok[2];
+  if (tok.size() < 3) throw std::invalid_argument("expected: churn event <kind> at=<s> ...");
   ChurnEvent ev;
-  const char* target_key = nullptr;
-  bool with_scale = false;
-  if (kind == "crash-peer") {
-    ev.kind = ChurnEvent::Kind::PeerCrash;
-    target_key = "peer";
-  } else if (kind == "join") {
-    ev.kind = ChurnEvent::Kind::PeerJoin;
-  } else if (kind == "crash-tracker") {
-    ev.kind = ChurnEvent::Kind::TrackerCrash;
-    target_key = "tracker";
-  } else if (kind == "degrade") {
-    ev.kind = ChurnEvent::Kind::LinkDegrade;
-    target_key = "link";
-    with_scale = true;
-    ev.scale = 0.5;  // halve by default, like ChurnSpec::link_degrade_scale
-  } else if (kind == "restore") {
-    ev.kind = ChurnEvent::Kind::LinkRestore;
-    target_key = "link";
-  } else {
-    throw std::invalid_argument("unknown churn event kind '" + kind + "'");
-  }
+  ev.kind = kEventKinds.parse(tok[2], "churn event kind");
+  const char* target = target_key(ev.kind);
+  const bool with_scale = ev.kind == ChurnEvent::Kind::LinkDegrade;
+  if (with_scale) ev.scale = 0.5;  // halve by default, like ChurnSpec::link_degrade_scale
   bool saw_at = false;
-  for (const auto& [key, value] : event_params(tok, 3)) {
+  for (const auto& [key, value] : keys::split_pairs(std::span(tok).subspan(3))) {
     if (key == "at") {
-      ev.at = parse_number(value, "event time");
-      if (ev.at < 0) throw std::invalid_argument("churn event time must be >= 0");
+      ev.at = kNonNegative.parse(value, "churn event time");
       saw_at = true;
-    } else if (target_key != nullptr && key == target_key) {
-      ev.target = parse_index(value, target_key);
-      if (ev.target < 0) throw std::invalid_argument("churn event target must be >= 0");
+    } else if (target != nullptr && key == target) {
+      ev.target = keys::Int{.min = 0}.parse(value, "churn event target");
     } else if (with_scale && key == "scale") {
-      ev.scale = parse_number(value, "scale");
-      if (ev.scale <= 0 || ev.scale > 1)
-        throw std::invalid_argument("churn degrade scale must be in (0, 1]");
+      ev.scale = kScale.parse(value, "churn degrade scale");
     } else {
-      throw std::invalid_argument("unknown churn event key '" + key + "' for '" + kind +
+      throw std::invalid_argument("unknown churn event key '" + key + "' for '" + tok[2] +
                                   "'");
     }
   }
@@ -111,40 +74,30 @@ ChurnEvent parse_event(const std::vector<std::string>& tok) {
 }
 
 std::string render_event(const ChurnEvent& ev) {
-  std::ostringstream out;
-  out << "churn event " << churn_event_kind_name(ev.kind)
-      << " at=" << format_shortest(ev.at);
-  switch (ev.kind) {
-    case ChurnEvent::Kind::PeerCrash:
-      if (ev.target >= 0) out << " peer=" << ev.target;
-      break;
-    case ChurnEvent::Kind::PeerJoin:
-      break;
-    case ChurnEvent::Kind::TrackerCrash:
-      if (ev.target >= 0) out << " tracker=" << ev.target;
-      break;
-    case ChurnEvent::Kind::LinkDegrade:
-      if (ev.target >= 0) out << " link=" << ev.target;
-      out << " scale=" << format_shortest(ev.scale);
-      break;
-    case ChurnEvent::Kind::LinkRestore:
-      if (ev.target >= 0) out << " link=" << ev.target;
-      break;
-  }
-  return out.str();
+  std::string out = "churn event ";
+  out += kEventKinds.name(ev.kind);
+  out += " at=" + format_shortest(ev.at);
+  if (const char* key = target_key(ev.kind); key != nullptr && ev.target >= 0)
+    out += std::string(" ") + key + "=" + std::to_string(ev.target);
+  if (ev.kind == ChurnEvent::Kind::LinkDegrade) out += " scale=" + format_shortest(ev.scale);
+  return out;
 }
 
 }  // namespace
 
-const char* churn_event_kind_name(ChurnEvent::Kind k) {
-  switch (k) {
-    case ChurnEvent::Kind::PeerCrash: return "crash-peer";
-    case ChurnEvent::Kind::PeerJoin: return "join";
-    case ChurnEvent::Kind::TrackerCrash: return "crash-tracker";
-    case ChurnEvent::Kind::LinkDegrade: return "degrade";
-    case ChurnEvent::Kind::LinkRestore: return "restore";
-  }
-  return "?";
+const std::vector<keys::Row<ChurnSpec>>& churn_rows() {
+  using keys::field;
+  static const std::vector<keys::Row<ChurnSpec>> rows = {
+      field("rate", &ChurnSpec::peer_crash_rate, kNonNegative),
+      field("downtime", &ChurnSpec::mean_downtime, kNonNegative),
+      field("link_rate", &ChurnSpec::link_degrade_rate, kNonNegative),
+      field("link_scale", &ChurnSpec::link_degrade_scale, kScale),
+      field("link_time", &ChurnSpec::mean_degrade_time, kNonNegative),
+      field("horizon", &ChurnSpec::horizon, kNonNegative),
+      field("seed", &ChurnSpec::seed, keys::U64{}),
+      field("attempts", &ChurnSpec::max_attempts, keys::Int{.min = 1}),
+  };
+  return rows;
 }
 
 std::uint64_t injection_seed(const ChurnSpec& spec, std::uint64_t run_seed) {
@@ -190,63 +143,26 @@ std::vector<ChurnEvent> expand_events(const ChurnSpec& spec, int peers,
 }
 
 void parse_churn_tokens(const std::vector<std::string>& tok, ChurnSpec& spec) {
-  if (tok.size() < 2)
-    throw std::invalid_argument("expected: churn <key> <value ...>");
-  const std::string& key = tok[1];
-  if (key == "event") {
+  if (tok.size() < 2) throw std::invalid_argument("expected: churn <key> <value ...>");
+  if (tok[1] == "event") {
     spec.events.push_back(parse_event(tok));
     return;
   }
-  if (tok.size() != 3)
-    throw std::invalid_argument("expected: churn " + key + " <value>");
-  const std::string& value = tok[2];
-  if (key == "rate") {
-    spec.peer_crash_rate = parse_number(value, "rate");
-    if (spec.peer_crash_rate < 0) throw std::invalid_argument("churn rate must be >= 0");
-  } else if (key == "downtime") {
-    spec.mean_downtime = parse_number(value, "downtime");
-    if (spec.mean_downtime < 0) throw std::invalid_argument("churn downtime must be >= 0");
-  } else if (key == "link_rate") {
-    spec.link_degrade_rate = parse_number(value, "link_rate");
-    if (spec.link_degrade_rate < 0)
-      throw std::invalid_argument("churn link_rate must be >= 0");
-  } else if (key == "link_scale") {
-    spec.link_degrade_scale = parse_number(value, "link_scale");
-    if (spec.link_degrade_scale <= 0 || spec.link_degrade_scale > 1)
-      throw std::invalid_argument("churn link_scale must be in (0, 1]");
-  } else if (key == "link_time") {
-    spec.mean_degrade_time = parse_number(value, "link_time");
-    if (spec.mean_degrade_time < 0)
-      throw std::invalid_argument("churn link_time must be >= 0");
-  } else if (key == "horizon") {
-    spec.horizon = parse_number(value, "horizon");
-    if (spec.horizon < 0) throw std::invalid_argument("churn horizon must be >= 0");
-  } else if (key == "seed") {
-    char* end = nullptr;
-    spec.seed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-      throw std::invalid_argument("bad churn seed '" + value + "'");
-  } else if (key == "attempts") {
-    spec.max_attempts = parse_index(value, "attempts");
-    if (spec.max_attempts < 1) throw std::invalid_argument("churn attempts must be >= 1");
-  } else {
-    throw std::invalid_argument("unknown churn key '" + key + "'");
+  const auto& row = keys::row(churn_rows(), tok[1], "churn key");
+  if (tok.size() != 3) throw std::invalid_argument("expected: churn " + tok[1] + " <value>");
+  try {
+    row.parse(spec, std::span(tok).subspan(2));
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("churn: ") + e.what());
   }
 }
 
 std::string render_churn_lines(const ChurnSpec& spec) {
   if (spec == ChurnSpec{}) return "";
-  std::ostringstream out;
-  out << "churn rate " << format_shortest(spec.peer_crash_rate) << "\n";
-  out << "churn downtime " << format_shortest(spec.mean_downtime) << "\n";
-  out << "churn link_rate " << format_shortest(spec.link_degrade_rate) << "\n";
-  out << "churn link_scale " << format_shortest(spec.link_degrade_scale) << "\n";
-  out << "churn link_time " << format_shortest(spec.mean_degrade_time) << "\n";
-  out << "churn horizon " << format_shortest(spec.horizon) << "\n";
-  out << "churn seed " << spec.seed << "\n";
-  out << "churn attempts " << spec.max_attempts << "\n";
-  for (const ChurnEvent& ev : spec.events) out << render_event(ev) << "\n";
-  return out.str();
+  std::string out;
+  keys::render(out, churn_rows(), spec, "churn ", ' ', "\n");
+  for (const ChurnEvent& ev : spec.events) out += render_event(ev) + "\n";
+  return out;
 }
 
 }  // namespace pdc::churn

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "support/spec_keys.hpp"
 #include "support/time.hpp"
 
 namespace pdc::churn {
@@ -44,8 +45,6 @@ struct ChurnEvent {
 
   friend bool operator==(const ChurnEvent&, const ChurnEvent&) = default;
 };
-
-const char* churn_event_kind_name(ChurnEvent::Kind k);
 
 /// Aggregate counters the injector reports into the RunRecord.
 struct ChurnStats {
@@ -99,6 +98,10 @@ std::uint64_t injection_seed(const ChurnSpec& spec, std::uint64_t run_seed);
 // The scenario/campaign parsers own file/line handling; these helpers take
 // one tokenized `churn ...` line and throw std::invalid_argument on errors
 // (wrapped into ScenarioError by the caller).
+
+/// The scalar `churn <key> <value>` keywords, in render order (the
+/// campaign's churn sweep axes reach them through scenario::parse_run_value).
+const std::vector<keys::Row<ChurnSpec>>& churn_rows();
 
 /// Applies one `churn <key> ...` line (tokens[0] == "churn") to `spec`.
 void parse_churn_tokens(const std::vector<std::string>& tokens, ChurnSpec& spec);

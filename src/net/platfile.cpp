@@ -1,6 +1,5 @@
 #include "net/platfile.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -12,77 +11,27 @@ namespace pdc::net {
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::string tok;
-  for (char c : line) {
-    if (c == '#') break;
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!tok.empty()) out.push_back(std::move(tok)), tok.clear();
-    } else {
-      tok += c;
-    }
-  }
-  if (!tok.empty()) out.push_back(std::move(tok));
-  return out;
-}
-
-/// Parses "<number><suffix>" with one of the given suffix multipliers.
-double parse_unit_value(const std::string& text, const std::map<std::string, double>& units,
-                        const std::string& what) {
-  std::size_t pos = 0;
-  while (pos < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[pos])) || text[pos] == '.' ||
-          text[pos] == '-' || text[pos] == '+' || text[pos] == 'e' || text[pos] == 'E'))
-    ++pos;
-  // Allow scientific notation while preventing 'e' in a pure suffix: back off
-  // if the numeric part ends with a dangling exponent.
-  std::string num = text.substr(0, pos);
-  std::string suffix = text.substr(pos);
-  if (!num.empty() && (num.back() == 'e' || num.back() == 'E')) {
-    suffix = num.back() + suffix;
-    num.pop_back();
-  }
-  auto it = units.find(suffix);
-  if (num.empty() || it == units.end())
-    throw std::invalid_argument("bad " + what + " value '" + text + "'");
+double parse_with_unit(const std::string& text, const keys::Unit& unit, int line,
+                       const char* what) {
   try {
-    return std::stod(num) * it->second;
-  } catch (const std::invalid_argument&) {
-    throw;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad " + what + " value '" + text + "'");
-  }
-}
-
-double parse_with_unit(const std::string& text, const std::map<std::string, double>& units,
-                       int line, const std::string& what) {
-  try {
-    return parse_unit_value(text, units, what);
+    return unit.parse(text, what);
   } catch (const std::invalid_argument& e) {
     throw PlatFileError(line, e.what());
   }
 }
 
-const std::map<std::string, double> kSpeedUnits{{"GHz", 1e9}, {"MHz", 1e6}, {"Hz", 1.0}};
-const std::map<std::string, double> kBwUnits{
+constexpr std::pair<const char*, double> kSpeedSuffixes[] = {
+    {"GHz", 1e9}, {"MHz", 1e6}, {"Hz", 1.0}};
+constexpr std::pair<const char*, double> kBandwidthSuffixes[] = {
     {"Gbps", 1e9 / 8}, {"Mbps", 1e6 / 8}, {"Kbps", 1e3 / 8}, {"bps", 1.0 / 8}};
-const std::map<std::string, double> kLatUnits{
-    {"s", 1.0}, {"ms", 1e-3}, {"us", 1e-6}, {"ns", 1e-9}};
+constexpr std::pair<const char*, double> kLatencySuffixes[] = {
+    {"ms", 1e-3}, {"us", 1e-6}, {"ns", 1e-9}, {"s", 1.0}};
 
 }  // namespace
 
-double parse_speed_value(const std::string& text) {
-  return parse_unit_value(text, kSpeedUnits, "speed");
-}
-
-double parse_bandwidth_value(const std::string& text) {
-  return parse_unit_value(text, kBwUnits, "bandwidth");
-}
-
-double parse_latency_value(const std::string& text) {
-  return parse_unit_value(text, kLatUnits, "latency");
-}
+const keys::Unit kSpeed{kSpeedSuffixes};
+const keys::Unit kBandwidth{kBandwidthSuffixes};
+const keys::Unit kLatency{kLatencySuffixes};
 
 Platform parse_platform(const std::string& text) {
   Platform p;
@@ -110,14 +59,14 @@ Platform parse_platform(const std::string& text) {
   int lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
-    const auto tok = tokenize(line);
+    const auto tok = keys::tokenize(line);
     if (tok.empty()) continue;
     const std::string& kw = tok[0];
     if (kw == "host") {
       if (tok.size() != 6 || tok[2] != "speed" || tok[4] != "ip")
         throw PlatFileError(lineno, "expected: host <name> speed <v> ip <addr>");
       if (nodes.count(tok[1])) throw PlatFileError(lineno, "duplicate node '" + tok[1] + "'");
-      const double speed = parse_with_unit(tok[3], kSpeedUnits, lineno, "speed");
+      const double speed = parse_with_unit(tok[3], kSpeed, lineno, "speed");
       auto ip = Ipv4::parse(tok[5]);
       if (!ip) throw PlatFileError(lineno, "bad ip '" + tok[5] + "'");
       nodes[tok[1]] = p.add_host(tok[1], speed, *ip);
@@ -129,8 +78,8 @@ Platform parse_platform(const std::string& text) {
       if (tok.size() != 6 || tok[2] != "bw" || tok[4] != "lat")
         throw PlatFileError(lineno, "expected: link <name> bw <v> lat <v>");
       if (links.count(tok[1])) throw PlatFileError(lineno, "duplicate link '" + tok[1] + "'");
-      const double bw = parse_with_unit(tok[3], kBwUnits, lineno, "bandwidth");
-      const double lat = parse_with_unit(tok[5], kLatUnits, lineno, "latency");
+      const double bw = parse_with_unit(tok[3], kBandwidth, lineno, "bandwidth");
+      const double lat = parse_with_unit(tok[5], kLatency, lineno, "latency");
       links[tok[1]] = p.add_link(tok[1], bw, lat);
     } else if (kw == "edge") {
       if (tok.size() != 4) throw PlatFileError(lineno, "expected: edge <a> <b> <link>");

@@ -22,6 +22,7 @@
 #include <string>
 
 #include "net/platform.hpp"
+#include "support/spec_keys.hpp"
 
 namespace pdc::net {
 
@@ -48,10 +49,10 @@ Platform parse_platform(const std::string& text);
 /// becomes symmetric on re-parse (the grammar cannot express one-way routes).
 std::string render_platform(const Platform& p);
 
-/// Unit-suffixed value parsers shared with the scenario spec format.
-/// Throw std::invalid_argument on malformed input.
-double parse_speed_value(const std::string& text);      // "3GHz"   -> 3e9 Hz
-double parse_bandwidth_value(const std::string& text);  // "1Gbps"  -> 1.25e8 B/s
-double parse_latency_value(const std::string& text);    // "100us"  -> 1e-4 s
+/// Unit-suffixed value codecs shared with the scenario spec format; parse
+/// throws std::invalid_argument on malformed input.
+extern const keys::Unit kSpeed;      // "3GHz"   -> 3e9 Hz, renders "3e+09Hz"
+extern const keys::Unit kBandwidth;  // "1Gbps"  -> 1.25e8 B/s, renders "1e+09bps"
+extern const keys::Unit kLatency;    // "100us"  -> 1e-4 s, renders "0.0001s"
 
 }  // namespace pdc::net

@@ -555,11 +555,20 @@ PhaseRecord Runner::run_analytic(const std::vector<dperf::Trace>& traces) const 
 }
 
 RunRecord Runner::run_phases(const char*& phase) const {
-  if (spec_.run.peers < 1)
-    throw std::runtime_error("peers (" + std::to_string(spec_.run.peers) + ") must be >= 1");
-  if (spec_.run.ranks > spec_.run.peers)
-    throw std::runtime_error("ranks (" + std::to_string(spec_.run.ranks) +
-                             ") exceed peers (" + std::to_string(spec_.run.peers) + ")");
+  // The spec rows' floors, for specs built in code: rcheck divides, cmax 0
+  // never ends the chunk split, and a NaN omega aliases every memo key.
+  const RunSpec& run = spec_.run;
+  if (run.peers < 1)
+    throw std::runtime_error("peers (" + std::to_string(run.peers) + ") must be >= 1");
+  if (run.rcheck < 1)
+    throw std::runtime_error("rcheck (" + std::to_string(run.rcheck) + ") must be >= 1");
+  if (run.cmax < 1)
+    throw std::runtime_error("cmax (" + std::to_string(run.cmax) + ") must be >= 1");
+  if (!std::isfinite(run.omega))
+    throw std::runtime_error("omega (" + format_shortest(run.omega) + ") must be finite");
+  if (run.ranks > run.peers)
+    throw std::runtime_error("ranks (" + std::to_string(run.ranks) + ") exceed peers (" +
+                             std::to_string(run.peers) + ")");
   // Tracing: the spec's `trace <path>` knob wins; PDC_TRACE_DIR supplies a
   // per-scenario default. The recorder is installed for this thread only —
   // parallel campaign workers each scope their own run — and the file is
@@ -678,9 +687,8 @@ std::string RunRecord::to_json() const {
   w.kv("ranks", spec.run.rank_count());
   w.kv("opt", ir::opt_level_name(spec.run.level));
   w.kv("mode", mode_name(spec.run.mode));
-  w.kv("alloc", spec.run.allocation == p2pdc::AllocationMode::Hierarchical ? "hierarchical"
-                                                                           : "flat");
-  w.kv("scheme", spec.run.scheme == p2psap::Scheme::Synchronous ? "sync" : "async");
+  w.kv("alloc", render_run_value(spec.run, "alloc"));
+  w.kv("scheme", render_run_value(spec.run, "scheme"));
   w.kv("seed", spec.run.seed);
   w.kv("grid", spec.run.grid_n);
   w.kv("iters", spec.run.iters);
@@ -690,7 +698,7 @@ std::string RunRecord::to_json() const {
   w.kv("bench_rcheck", spec.run.bench_rcheck);
   w.kv("omega", spec.run.omega);
   w.kv("cmax", spec.run.cmax);
-  w.kv("boot", spec.run.lazy_boot ? "lazy" : "eager");
+  w.kv("boot", render_run_value(spec.run, "boot"));
   w.kv("trackers", spec.run.trackers);
   w.end_object();
   if (reference) {

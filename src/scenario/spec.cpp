@@ -1,11 +1,8 @@
 #include "scenario/spec.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <map>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "net/platfile.hpp"
@@ -14,280 +11,280 @@
 
 namespace pdc::scenario {
 
-std::vector<std::string> tokenize_spec_line(const std::string& line) {
-  std::vector<std::string> out;
-  std::string tok;
-  for (char c : line) {
-    if (c == '#') break;
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!tok.empty()) out.push_back(std::move(tok)), tok.clear();
-    } else {
-      tok += c;
-    }
-  }
-  if (!tok.empty()) out.push_back(std::move(tok));
-  return out;
-}
-
 namespace {
 
-// format_shortest (support/json): shortest round-tripping decimal.
-std::string fmt_speed(double hz) { return format_shortest(hz) + "Hz"; }
-std::string fmt_bw(double Bps) { return format_shortest(Bps * 8) + "bps"; }
-std::string fmt_lat(double s) { return format_shortest(s) + "s"; }
+using keys::field;
+using keys::Show;
 
-int parse_int(const std::string& text, int line, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0')
-    throw ScenarioError(line, std::string("bad ") + what + " '" + text + "'");
-  return static_cast<int>(v);
-}
+// --- value codecs beyond support/spec_keys ----------------------------------
 
-double parse_double(const std::string& text, int line, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0')
-    throw ScenarioError(line, std::string("bad ") + what + " '" + text + "'");
-  return v;
-}
-
-/// key=value parameter map for one `platform <kind> ...` line.
-using Params = std::map<std::string, std::string>;
-
-Params parse_params(const std::vector<std::string>& tok, std::size_t first, int line) {
-  Params out;
-  for (std::size_t i = first; i < tok.size(); ++i) {
-    const auto eq = tok[i].find('=');
-    if (eq == std::string::npos || eq == 0)
-      throw ScenarioError(line, "expected key=value, got '" + tok[i] + "'");
-    out[tok[i].substr(0, eq)] = tok[i].substr(eq + 1);
+struct Ip {
+  Ipv4 parse(std::string_view text, std::string_view key) const {
+    if (auto ip = Ipv4::parse(std::string(text))) return *ip;
+    throw std::invalid_argument("bad " + std::string(key) + " '" + std::string(text) + "'");
   }
-  return out;
-}
+  std::string render(Ipv4 ip) const { return ip.to_string(); }
+};
 
-/// Applies every recognized key; throws on unknown keys so typos surface.
-void apply_params(const Params& params, int line,
-                  const std::map<std::string, std::function<void(const std::string&)>>& keys) {
-  for (const auto& [key, value] : params) {
-    auto it = keys.find(key);
-    if (it == keys.end()) throw ScenarioError(line, "unknown platform key '" + key + "'");
-    try {
-      it->second(value);
-    } catch (const std::invalid_argument& e) {
-      throw ScenarioError(line, std::string(e.what()) + " (key '" + key + "')");
+/// Comma-separated speeds (`speeds=2GHz,3GHz`).
+struct SpeedList {
+  std::vector<double> parse(std::string_view text, std::string_view key) const {
+    std::vector<double> out;
+    std::string item;
+    std::istringstream in{std::string(text)};
+    while (std::getline(in, item, ','))
+      if (!item.empty()) out.push_back(net::kSpeed.parse(item, key));
+    if (out.empty()) throw std::invalid_argument("empty speed list '" + std::string(text) + "'");
+    return out;
+  }
+  std::string render(const std::vector<double>& speeds) const {
+    std::string out;
+    for (std::size_t i = 0; i < speeds.size(); ++i) {
+      if (i > 0) out += ',';
+      out += net::kSpeed.render(speeds[i]);
     }
+    return out;
   }
+};
+
+/// `opt` goes through ir's own level names (O0..O3, Os; 0..3 and s parse too).
+struct Opt {
+  ir::OptLevel parse(std::string_view text, std::string_view) const {
+    return ir::parse_opt_level(std::string(text));
+  }
+  std::string render(ir::OptLevel level) const { return ir::opt_level_name(level); }
+};
+
+const keys::Int kCount{.min = 0};
+
+// The one name table per enum.
+constexpr std::pair<Mode, const char*> kModeNames[] = {
+    {Mode::Reference, "reference"}, {Mode::Predict, "predict"},
+    {Mode::Both, "both"},           {Mode::Analytic, "analytic"},
+    {Mode::BothAnalytic, "both-analytic"},
+};
+constexpr std::pair<p2pdc::AllocationMode, const char*> kAllocNames[] = {
+    {p2pdc::AllocationMode::Hierarchical, "hierarchical"},
+    {p2pdc::AllocationMode::Flat, "flat"},
+};
+constexpr std::pair<p2psap::Scheme, const char*> kSchemeNames[] = {
+    {p2psap::Scheme::Synchronous, "sync"},
+    {p2psap::Scheme::Asynchronous, "async"},
+};
+constexpr std::pair<bool, const char*> kBootNames[] = {{false, "eager"}, {true, "lazy"}};
+const keys::Names<Mode> kModes{kModeNames};
+
+/// The RunSpec keywords, in canonical render order.
+const std::vector<keys::Row<RunSpec>>& run_rows() {
+  static const std::vector<keys::Row<RunSpec>> rows = {
+      field("peers", &RunSpec::peers, kCount),
+      field("opt", &RunSpec::level, Opt{}),
+      field("mode", &RunSpec::mode, kModes),
+      field("alloc", &RunSpec::allocation, keys::Names<p2pdc::AllocationMode>{kAllocNames}),
+      field("scheme", &RunSpec::scheme, keys::Names<p2psap::Scheme>{kSchemeNames}),
+      field("seed", &RunSpec::seed, keys::U64{}),
+      field("grid", &RunSpec::grid_n, kCount),
+      field("iters", &RunSpec::iters, kCount),
+      field("rcheck", &RunSpec::rcheck, keys::Int{.min = 1}),  // `it % rcheck` divides
+      {"bench",
+       [](RunSpec& r, std::span<const std::string> values) {
+         if (values.size() != 3)
+           throw std::invalid_argument("expected: bench <n> <iters> <rcheck>");
+         r.bench_n = kCount.parse(values[0], "bench n");
+         r.bench_iters = kCount.parse(values[1], "bench iters");
+         r.bench_rcheck = kCount.parse(values[2], "bench rcheck");
+       },
+       [](const RunSpec& r) {
+         return std::to_string(r.bench_n) + " " + std::to_string(r.bench_iters) + " " +
+                std::to_string(r.bench_rcheck);
+       }},
+      // Finite: the workload memo key orders on omega, and NaN compares
+      // equal to every key.
+      field("omega", &RunSpec::omega, keys::Real{}),
+      field("cmax", &RunSpec::cmax, keys::Int{.min = 1}),  // 0 never ends the chunk split
+      // Scale knobs render only when non-default, so older scenarios keep
+      // their exact text form (same contract as the churn lines).
+      field("boot", &RunSpec::lazy_boot, keys::Names<bool>{kBootNames}, Show::NonDefault),
+      field("trackers", &RunSpec::trackers, keys::Int{.min = 1}, Show::NonDefault),
+      field("ranks", &RunSpec::ranks, kCount, Show::NonDefault),
+      field("trace", &RunSpec::trace_path, keys::Text{}, Show::Never),
+  };
+  return rows;
 }
 
-std::vector<double> parse_speed_list(const std::string& text) {
-  std::vector<double> out;
-  std::string item;
-  std::istringstream in(text);
-  while (std::getline(in, item, ','))
-    if (!item.empty()) out.push_back(net::parse_speed_value(item));
-  if (out.empty()) throw std::invalid_argument("empty speed list '" + text + "'");
-  return out;
+// --- platform generators ----------------------------------------------------
+
+/// One platform generator's text form: its kind, what `platform <kind>`
+/// starts from, and its key=value parameters in render order (`label`,
+/// common to every kind, is handled by the caller).
+template <class T>
+struct Generator {
+  const char* kind;
+  T fresh;
+  std::vector<keys::Row<T>> rows;
+};
+
+/// Every generator's text form (a variant alternative without one fails to
+/// compile at generator<T>()).
+const auto& generators() {
+  using Star = net::StarSpec;
+  using Daisy = net::DaisySpec;
+  using Fed = net::FederationSpec;
+  using Wan = net::WanSpec;
+  using Ba = net::ScaleFreeSpec;
+  using Ws = net::SmallWorldSpec;
+  static const std::tuple all{
+      Generator<Star>{"star",
+                      {.hosts = 0},  // auto-size to the run's peer count
+                      {field("hosts", &Star::hosts, kCount),
+                       field("speed", &Star::host_speed_hz, net::kSpeed),
+                       field("nic_bw", &Star::nic_bw_Bps, net::kBandwidth),
+                       field("nic_lat", &Star::nic_latency, net::kLatency),
+                       field("bb_bw", &Star::backbone_bw_Bps, net::kBandwidth),
+                       field("bb_lat", &Star::backbone_latency, net::kLatency),
+                       field("prefix", &Star::name_prefix, keys::Text{}),
+                       field("ip", &Star::base_ip, Ip{})}},
+      Generator<Daisy>{"daisy",
+                       {},
+                       {field("petals", &Daisy::central_routers, kCount),
+                        field("petal_routers", &Daisy::routers_per_petal, kCount),
+                        field("dslams", &Daisy::dslams_per_router, kCount),
+                        field("dslam_nodes", &Daisy::nodes_per_dslam, kCount),
+                        field("extra", &Daisy::extra_nodes_on_one_dslam, kCount),
+                        field("speed", &Daisy::host_speed_hz, net::kSpeed),
+                        field("ring_bw", &Daisy::ring_bw_Bps, net::kBandwidth),
+                        field("petal_bw", &Daisy::petal_bw_Bps, net::kBandwidth),
+                        field("up_bw", &Daisy::dslam_up_bw_Bps, net::kBandwidth),
+                        field("lastmile_min", &Daisy::last_mile_min_Bps, net::kBandwidth),
+                        field("lastmile_max", &Daisy::last_mile_max_Bps, net::kBandwidth),
+                        field("router_lat", &Daisy::router_latency, net::kLatency),
+                        field("lastmile_lat", &Daisy::last_mile_latency, net::kLatency)}},
+      Generator<Fed>{"federation",
+                     {},
+                     {field("clusters", &Fed::clusters, kCount),
+                      field("hosts", &Fed::hosts_per_cluster, kCount),
+                      field("speeds", &Fed::site_speeds_hz, SpeedList{}),
+                      field("nic_bw", &Fed::nic_bw_Bps, net::kBandwidth),
+                      field("nic_lat", &Fed::nic_latency, net::kLatency),
+                      field("wan_bw", &Fed::wan_bw_Bps, net::kBandwidth),
+                      field("wan_lat", &Fed::wan_latency, net::kLatency)}},
+      Generator<Wan>{"wan",
+                     {},
+                     {field("hosts", &Wan::hosts, kCount),
+                      field("routers", &Wan::routers, kCount),
+                      field("extra_links", &Wan::extra_links, kCount),
+                      field("speed_min", &Wan::speed_min_hz, net::kSpeed),
+                      field("speed_max", &Wan::speed_max_hz, net::kSpeed),
+                      field("access_min", &Wan::access_bw_min_Bps, net::kBandwidth),
+                      field("access_max", &Wan::access_bw_max_Bps, net::kBandwidth),
+                      field("access_lat", &Wan::access_latency, net::kLatency),
+                      field("core_bw", &Wan::core_bw_Bps, net::kBandwidth),
+                      field("core_lat_min", &Wan::core_lat_min, net::kLatency),
+                      field("core_lat_max", &Wan::core_lat_max, net::kLatency)}},
+      Generator<Ba>{"scale_free",
+                    {.hosts = 0},  // auto-size to the run's peer count
+                    {field("hosts", &Ba::hosts, kCount),
+                     field("routers", &Ba::routers, kCount),
+                     field("m", &Ba::m, kCount),
+                     field("speed", &Ba::host_speed_hz, net::kSpeed),
+                     field("access_bw", &Ba::access_bw_Bps, net::kBandwidth),
+                     field("access_lat", &Ba::access_latency, net::kLatency),
+                     field("core_bw", &Ba::core_bw_Bps, net::kBandwidth),
+                     field("core_lat", &Ba::core_latency, net::kLatency),
+                     field("ip", &Ba::base_ip, Ip{})}},
+      Generator<Ws>{"small_world",
+                    {.hosts = 0},  // auto-size to the run's peer count
+                    {field("hosts", &Ws::hosts, kCount),
+                     field("routers", &Ws::routers, kCount),
+                     field("k", &Ws::k, kCount),
+                     field("beta", &Ws::beta, keys::Real{.min = 0, .max = 1}),
+                     field("speed", &Ws::host_speed_hz, net::kSpeed),
+                     field("access_bw", &Ws::access_bw_Bps, net::kBandwidth),
+                     field("access_lat", &Ws::access_latency, net::kLatency),
+                     field("core_bw", &Ws::core_bw_Bps, net::kBandwidth),
+                     field("core_lat", &Ws::core_latency, net::kLatency),
+                     field("ip", &Ws::base_ip, Ip{})}},
+  };
+  return all;
+}
+
+template <class T>
+const Generator<T>& generator() {
+  return std::get<Generator<T>>(generators());
+}
+
+template <class T>
+PlatformSpec generator_defaults() {
+  const Generator<T>& g = generator<T>();
+  return PlatformSpec{g.kind, g.fresh};
+}
+
+/// Parses the key=value parameters of the generator named `kind` into
+/// `out`; false when no generator has that name.
+bool parse_generator(std::string_view kind, std::span<const std::string> params,
+                     PlatformSpec& out) {
+  auto try_one = [&](const auto& g) {
+    if (kind != g.kind) return false;
+    auto spec = g.fresh;
+    for (const auto& [key, value] : keys::split_pairs(params)) {
+      if (key == "label")
+        out.label = value;
+      else
+        keys::row(g.rows, key, "platform key").parse(spec, std::span(&value, 1));
+    }
+    out.spec = std::move(spec);
+    return true;
+  };
+  return std::apply([&](const auto&... g) { return (try_one(g) || ...); }, generators());
 }
 
 }  // namespace
 
 PlatformSpec parse_platform_tokens(const std::vector<std::string>& tok, int line) {
   const std::string& kind = tok[1];
-  // Presets first: the paper's named platforms.
-  if (kind == "grid5000" && tok.size() == 2) return PlatformSpec::grid5000();
-  if (kind == "lan" && tok.size() == 2) return PlatformSpec::lan();
-  if (kind == "xdsl" && tok.size() == 2) return PlatformSpec::xdsl();
-
-  PlatformSpec out;
-  out.label = kind;
-  if (kind == "star") {
-    net::StarSpec s;
-    s.hosts = 0;  // auto-size to the run's peer count unless given
-    const Params p = parse_params(tok, 2, line);
-    apply_params(p, line,
-                 {{"label", [&](const std::string& v) { out.label = v; }},
-                  {"hosts", [&](const std::string& v) { s.hosts = parse_int(v, line, "hosts"); }},
-                  {"speed", [&](const std::string& v) { s.host_speed_hz = net::parse_speed_value(v); }},
-                  {"nic_bw", [&](const std::string& v) { s.nic_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"nic_lat", [&](const std::string& v) { s.nic_latency = net::parse_latency_value(v); }},
-                  {"bb_bw", [&](const std::string& v) { s.backbone_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"bb_lat", [&](const std::string& v) { s.backbone_latency = net::parse_latency_value(v); }},
-                  {"prefix", [&](const std::string& v) { s.name_prefix = v; }},
-                  {"ip", [&](const std::string& v) {
-                     auto ip = Ipv4::parse(v);
-                     if (!ip) throw std::invalid_argument("bad ip '" + v + "'");
-                     s.base_ip = *ip;
-                   }}});
-    out.spec = s;
-  } else if (kind == "daisy") {
-    net::DaisySpec s;
-    const Params p = parse_params(tok, 2, line);
-    apply_params(p, line,
-                 {{"label", [&](const std::string& v) { out.label = v; }},
-                  {"petals", [&](const std::string& v) { s.central_routers = parse_int(v, line, "petals"); }},
-                  {"petal_routers", [&](const std::string& v) { s.routers_per_petal = parse_int(v, line, "petal_routers"); }},
-                  {"dslams", [&](const std::string& v) { s.dslams_per_router = parse_int(v, line, "dslams"); }},
-                  {"dslam_nodes", [&](const std::string& v) { s.nodes_per_dslam = parse_int(v, line, "dslam_nodes"); }},
-                  {"extra", [&](const std::string& v) { s.extra_nodes_on_one_dslam = parse_int(v, line, "extra"); }},
-                  {"speed", [&](const std::string& v) { s.host_speed_hz = net::parse_speed_value(v); }},
-                  {"ring_bw", [&](const std::string& v) { s.ring_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"petal_bw", [&](const std::string& v) { s.petal_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"up_bw", [&](const std::string& v) { s.dslam_up_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"lastmile_min", [&](const std::string& v) { s.last_mile_min_Bps = net::parse_bandwidth_value(v); }},
-                  {"lastmile_max", [&](const std::string& v) { s.last_mile_max_Bps = net::parse_bandwidth_value(v); }},
-                  {"router_lat", [&](const std::string& v) { s.router_latency = net::parse_latency_value(v); }},
-                  {"lastmile_lat", [&](const std::string& v) { s.last_mile_latency = net::parse_latency_value(v); }}});
-    out.spec = s;
-  } else if (kind == "federation") {
-    net::FederationSpec s;
-    const Params p = parse_params(tok, 2, line);
-    apply_params(p, line,
-                 {{"label", [&](const std::string& v) { out.label = v; }},
-                  {"clusters", [&](const std::string& v) { s.clusters = parse_int(v, line, "clusters"); }},
-                  {"hosts", [&](const std::string& v) { s.hosts_per_cluster = parse_int(v, line, "hosts"); }},
-                  {"speeds", [&](const std::string& v) { s.site_speeds_hz = parse_speed_list(v); }},
-                  {"nic_bw", [&](const std::string& v) { s.nic_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"nic_lat", [&](const std::string& v) { s.nic_latency = net::parse_latency_value(v); }},
-                  {"wan_bw", [&](const std::string& v) { s.wan_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"wan_lat", [&](const std::string& v) { s.wan_latency = net::parse_latency_value(v); }}});
-    out.spec = s;
-  } else if (kind == "wan") {
-    net::WanSpec s;
-    const Params p = parse_params(tok, 2, line);
-    apply_params(p, line,
-                 {{"label", [&](const std::string& v) { out.label = v; }},
-                  {"hosts", [&](const std::string& v) { s.hosts = parse_int(v, line, "hosts"); }},
-                  {"routers", [&](const std::string& v) { s.routers = parse_int(v, line, "routers"); }},
-                  {"extra_links", [&](const std::string& v) { s.extra_links = parse_int(v, line, "extra_links"); }},
-                  {"speed_min", [&](const std::string& v) { s.speed_min_hz = net::parse_speed_value(v); }},
-                  {"speed_max", [&](const std::string& v) { s.speed_max_hz = net::parse_speed_value(v); }},
-                  {"access_min", [&](const std::string& v) { s.access_bw_min_Bps = net::parse_bandwidth_value(v); }},
-                  {"access_max", [&](const std::string& v) { s.access_bw_max_Bps = net::parse_bandwidth_value(v); }},
-                  {"access_lat", [&](const std::string& v) { s.access_latency = net::parse_latency_value(v); }},
-                  {"core_bw", [&](const std::string& v) { s.core_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"core_lat_min", [&](const std::string& v) { s.core_lat_min = net::parse_latency_value(v); }},
-                  {"core_lat_max", [&](const std::string& v) { s.core_lat_max = net::parse_latency_value(v); }}});
-    out.spec = s;
-  } else if (kind == "scale_free") {
-    net::ScaleFreeSpec s;
-    s.hosts = 0;  // auto-size to the run's peer count unless given
-    const Params p = parse_params(tok, 2, line);
-    apply_params(p, line,
-                 {{"label", [&](const std::string& v) { out.label = v; }},
-                  {"hosts", [&](const std::string& v) { s.hosts = parse_int(v, line, "hosts"); }},
-                  {"routers", [&](const std::string& v) { s.routers = parse_int(v, line, "routers"); }},
-                  {"m", [&](const std::string& v) { s.m = parse_int(v, line, "m"); }},
-                  {"speed", [&](const std::string& v) { s.host_speed_hz = net::parse_speed_value(v); }},
-                  {"access_bw", [&](const std::string& v) { s.access_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"access_lat", [&](const std::string& v) { s.access_latency = net::parse_latency_value(v); }},
-                  {"core_bw", [&](const std::string& v) { s.core_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"core_lat", [&](const std::string& v) { s.core_latency = net::parse_latency_value(v); }},
-                  {"ip", [&](const std::string& v) {
-                     auto ip = Ipv4::parse(v);
-                     if (!ip) throw std::invalid_argument("bad ip '" + v + "'");
-                     s.base_ip = *ip;
-                   }}});
-    out.spec = s;
-  } else if (kind == "small_world") {
-    net::SmallWorldSpec s;
-    s.hosts = 0;  // auto-size to the run's peer count unless given
-    const Params p = parse_params(tok, 2, line);
-    apply_params(p, line,
-                 {{"label", [&](const std::string& v) { out.label = v; }},
-                  {"hosts", [&](const std::string& v) { s.hosts = parse_int(v, line, "hosts"); }},
-                  {"routers", [&](const std::string& v) { s.routers = parse_int(v, line, "routers"); }},
-                  {"k", [&](const std::string& v) { s.k = parse_int(v, line, "k"); }},
-                  {"beta", [&](const std::string& v) { s.beta = parse_double(v, line, "beta"); }},
-                  {"speed", [&](const std::string& v) { s.host_speed_hz = net::parse_speed_value(v); }},
-                  {"access_bw", [&](const std::string& v) { s.access_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"access_lat", [&](const std::string& v) { s.access_latency = net::parse_latency_value(v); }},
-                  {"core_bw", [&](const std::string& v) { s.core_bw_Bps = net::parse_bandwidth_value(v); }},
-                  {"core_lat", [&](const std::string& v) { s.core_latency = net::parse_latency_value(v); }},
-                  {"ip", [&](const std::string& v) {
-                     auto ip = Ipv4::parse(v);
-                     if (!ip) throw std::invalid_argument("bad ip '" + v + "'");
-                     s.base_ip = *ip;
-                   }}});
-    out.spec = s;
-  } else if (kind == "file") {
+  if (tok.size() == 2)
+    if (auto preset = PlatformSpec::preset(kind)) return *preset;
+  if (kind == "file") {
     if (tok.size() != 3) throw ScenarioError(line, "expected: platform file <path>");
     return PlatformSpec::from_file(tok[2]);
-  } else {
-    throw ScenarioError(line, "unknown platform kind '" + kind + "'");
+  }
+  PlatformSpec out;
+  out.label = kind;
+  try {
+    if (!parse_generator(kind, std::span(tok).subspan(2), out))
+      throw ScenarioError(line, "unknown platform kind '" + kind + "'");
+  } catch (const std::invalid_argument& e) {
+    throw ScenarioError(line, e.what());
   }
   return out;
 }
 
 std::string render_platform_line(const PlatformSpec& p) {
-  if (std::holds_alternative<PlatformFileSpec>(p.spec))
-    throw std::invalid_argument("platform-file specs have no one-line form");
-  std::ostringstream out;
-  out << "platform " << p.kind() << " label=" << p.label;
-  if (const auto* s = std::get_if<net::StarSpec>(&p.spec)) {
-    out << " hosts=" << s->hosts << " speed=" << fmt_speed(s->host_speed_hz)
-        << " nic_bw=" << fmt_bw(s->nic_bw_Bps) << " nic_lat=" << fmt_lat(s->nic_latency)
-        << " bb_bw=" << fmt_bw(s->backbone_bw_Bps)
-        << " bb_lat=" << fmt_lat(s->backbone_latency) << " prefix=" << s->name_prefix
-        << " ip=" << s->base_ip.to_string();
-  } else if (const auto* s = std::get_if<net::DaisySpec>(&p.spec)) {
-    out << " petals=" << s->central_routers << " petal_routers=" << s->routers_per_petal
-        << " dslams=" << s->dslams_per_router << " dslam_nodes=" << s->nodes_per_dslam
-        << " extra=" << s->extra_nodes_on_one_dslam
-        << " speed=" << fmt_speed(s->host_speed_hz) << " ring_bw=" << fmt_bw(s->ring_bw_Bps)
-        << " petal_bw=" << fmt_bw(s->petal_bw_Bps) << " up_bw=" << fmt_bw(s->dslam_up_bw_Bps)
-        << " lastmile_min=" << fmt_bw(s->last_mile_min_Bps)
-        << " lastmile_max=" << fmt_bw(s->last_mile_max_Bps)
-        << " router_lat=" << fmt_lat(s->router_latency)
-        << " lastmile_lat=" << fmt_lat(s->last_mile_latency);
-  } else if (const auto* s = std::get_if<net::FederationSpec>(&p.spec)) {
-    out << " clusters=" << s->clusters << " hosts=" << s->hosts_per_cluster << " speeds=";
-    for (std::size_t i = 0; i < s->site_speeds_hz.size(); ++i)
-      out << (i > 0 ? "," : "") << fmt_speed(s->site_speeds_hz[i]);
-    out << " nic_bw=" << fmt_bw(s->nic_bw_Bps) << " nic_lat=" << fmt_lat(s->nic_latency)
-        << " wan_bw=" << fmt_bw(s->wan_bw_Bps) << " wan_lat=" << fmt_lat(s->wan_latency);
-  } else if (const auto* s = std::get_if<net::WanSpec>(&p.spec)) {
-    out << " hosts=" << s->hosts << " routers=" << s->routers
-        << " extra_links=" << s->extra_links << " speed_min=" << fmt_speed(s->speed_min_hz)
-        << " speed_max=" << fmt_speed(s->speed_max_hz)
-        << " access_min=" << fmt_bw(s->access_bw_min_Bps)
-        << " access_max=" << fmt_bw(s->access_bw_max_Bps)
-        << " access_lat=" << fmt_lat(s->access_latency)
-        << " core_bw=" << fmt_bw(s->core_bw_Bps)
-        << " core_lat_min=" << fmt_lat(s->core_lat_min)
-        << " core_lat_max=" << fmt_lat(s->core_lat_max);
-  } else if (const auto* s = std::get_if<net::ScaleFreeSpec>(&p.spec)) {
-    out << " hosts=" << s->hosts << " routers=" << s->routers << " m=" << s->m
-        << " speed=" << fmt_speed(s->host_speed_hz)
-        << " access_bw=" << fmt_bw(s->access_bw_Bps)
-        << " access_lat=" << fmt_lat(s->access_latency)
-        << " core_bw=" << fmt_bw(s->core_bw_Bps)
-        << " core_lat=" << fmt_lat(s->core_latency)
-        << " ip=" << s->base_ip.to_string();
-  } else if (const auto* s = std::get_if<net::SmallWorldSpec>(&p.spec)) {
-    out << " hosts=" << s->hosts << " routers=" << s->routers << " k=" << s->k
-        << " beta=" << format_shortest(s->beta)
-        << " speed=" << fmt_speed(s->host_speed_hz)
-        << " access_bw=" << fmt_bw(s->access_bw_Bps)
-        << " access_lat=" << fmt_lat(s->access_latency)
-        << " core_bw=" << fmt_bw(s->core_bw_Bps)
-        << " core_lat=" << fmt_lat(s->core_latency)
-        << " ip=" << s->base_ip.to_string();
-  }
-  return out.str();
+  return std::visit(
+      [&p](const auto& spec) -> std::string {
+        using T = std::decay_t<decltype(spec)>;
+        if constexpr (std::is_same_v<T, PlatformFileSpec>) {
+          throw std::invalid_argument("platform-file specs have no one-line form");
+        } else {
+          const Generator<T>& g = generator<T>();
+          std::string out = std::string("platform ") + g.kind + " label=" + p.label;
+          keys::render(out, g.rows, spec, " ", '=', "");
+          return out;
+        }
+      },
+      p.spec);
 }
 
 const char* PlatformSpec::kind() const {
-  struct Visitor {
-    const char* operator()(const net::StarSpec&) const { return "star"; }
-    const char* operator()(const net::DaisySpec&) const { return "daisy"; }
-    const char* operator()(const PlatformFileSpec&) const { return "file"; }
-    const char* operator()(const net::FederationSpec&) const { return "federation"; }
-    const char* operator()(const net::WanSpec&) const { return "wan"; }
-    const char* operator()(const net::ScaleFreeSpec&) const { return "scale_free"; }
-    const char* operator()(const net::SmallWorldSpec&) const { return "small_world"; }
-  };
-  return std::visit(Visitor{}, spec);
+  return std::visit(
+      [](const auto& s) -> const char* {
+        using T = std::decay_t<decltype(s)>;
+        if constexpr (std::is_same_v<T, PlatformFileSpec>)
+          return "file";
+        else
+          return generator<T>().kind;
+      },
+      spec);
 }
 
 PlatformSpec PlatformSpec::grid5000() {
@@ -302,22 +299,18 @@ PlatformSpec PlatformSpec::lan() {
 
 PlatformSpec PlatformSpec::xdsl() { return PlatformSpec{"xdsl", net::DaisySpec{}}; }
 
-PlatformSpec PlatformSpec::federation() {
-  return PlatformSpec{"federation", net::FederationSpec{}};
-}
+PlatformSpec PlatformSpec::federation() { return generator_defaults<net::FederationSpec>(); }
 
-PlatformSpec PlatformSpec::wan() { return PlatformSpec{"wan", net::WanSpec{}}; }
+PlatformSpec PlatformSpec::wan() { return generator_defaults<net::WanSpec>(); }
 
-PlatformSpec PlatformSpec::scale_free() {
-  net::ScaleFreeSpec s;
-  s.hosts = 0;  // auto-size to the run's peer count at deploy
-  return PlatformSpec{"scale_free", s};
-}
+PlatformSpec PlatformSpec::scale_free() { return generator_defaults<net::ScaleFreeSpec>(); }
 
-PlatformSpec PlatformSpec::small_world() {
-  net::SmallWorldSpec s;
-  s.hosts = 0;
-  return PlatformSpec{"small_world", s};
+PlatformSpec PlatformSpec::small_world() { return generator_defaults<net::SmallWorldSpec>(); }
+
+std::optional<PlatformSpec> PlatformSpec::preset(std::string_view name) {
+  for (auto make : {&grid5000, &lan, &xdsl, &federation, &wan, &scale_free, &small_world})
+    if (PlatformSpec p = make(); p.label == name) return p;
+  return std::nullopt;
 }
 
 PlatformSpec PlatformSpec::from_file(std::string path) {
@@ -328,16 +321,7 @@ PlatformSpec PlatformSpec::from_text(std::string platfile_text) {
   return PlatformSpec{"inline", PlatformFileSpec{"", std::move(platfile_text)}};
 }
 
-const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::Reference: return "reference";
-    case Mode::Predict: return "predict";
-    case Mode::Both: return "both";
-    case Mode::Analytic: return "analytic";
-    case Mode::BothAnalytic: return "both-analytic";
-  }
-  return "?";
-}
+const char* mode_name(Mode m) { return kModes.name(m); }
 
 RunSpec RunSpec::from_env() {
   RunSpec s;
@@ -348,6 +332,25 @@ RunSpec RunSpec::from_env() {
   return s;
 }
 
+void parse_run_value(RunSpec& run, std::string_view key, const std::string& value,
+                     int line) {
+  const std::span<const std::string> values(&value, 1);
+  try {
+    if (key.starts_with("churn "))
+      keys::row(churn::churn_rows(), key.substr(6), "churn key").parse(run.churn, values);
+    else
+      keys::row(run_rows(), key, "keyword").parse(run, values);
+  } catch (const std::invalid_argument& e) {
+    throw ScenarioError(line, e.what());
+  }
+}
+
+std::string render_run_value(const RunSpec& run, std::string_view key) {
+  if (key.starts_with("churn "))
+    return keys::row(churn::churn_rows(), key.substr(6), "churn key").render(run.churn);
+  return keys::row(run_rows(), key, "keyword").render(run);
+}
+
 ScenarioSpec parse_scenario(const std::string& text, const RunSpec& base) {
   ScenarioSpec spec;
   spec.run = base;
@@ -356,14 +359,11 @@ ScenarioSpec parse_scenario(const std::string& text, const RunSpec& base) {
   int lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
-    const auto tok = tokenize_spec_line(line);
+    const auto tok = keys::tokenize(line);
     if (tok.empty()) continue;
     const std::string& kw = tok[0];
-    auto need = [&](std::size_t n, const char* usage) {
-      if (tok.size() != n) throw ScenarioError(lineno, std::string("expected: ") + usage);
-    };
     if (kw == "scenario") {
-      need(2, "scenario <name>");
+      if (tok.size() != 2) throw ScenarioError(lineno, "expected: scenario <name>");
       spec.name = tok[1];
     } else if (kw == "platform") {
       if (tok.size() < 2) throw ScenarioError(lineno, "expected: platform <kind> ...");
@@ -374,7 +374,7 @@ ScenarioSpec parse_scenario(const std::string& text, const RunSpec& base) {
         bool closed = false;
         while (std::getline(in, line)) {
           ++lineno;
-          const auto inner = tokenize_spec_line(line);
+          const auto inner = keys::tokenize(line);
           if (inner.size() == 1 && inner[0] == "end") {
             closed = true;
             break;
@@ -387,127 +387,38 @@ ScenarioSpec parse_scenario(const std::string& text, const RunSpec& base) {
       } else {
         spec.platform = parse_platform_tokens(tok, lineno);
       }
-    } else if (kw == "peers") {
-      need(2, "peers <n>");
-      spec.run.peers = parse_int(tok[1], lineno, "peers");
-    } else if (kw == "opt") {
-      need(2, "opt <0|1|2|3|s>");
-      try {
-        spec.run.level = ir::parse_opt_level(tok[1]);
-      } catch (const std::invalid_argument& e) {
-        throw ScenarioError(lineno, e.what());
-      }
-    } else if (kw == "mode") {
-      need(2, "mode <reference|predict|both|analytic|both-analytic>");
-      if (tok[1] == "reference") spec.run.mode = Mode::Reference;
-      else if (tok[1] == "predict") spec.run.mode = Mode::Predict;
-      else if (tok[1] == "both") spec.run.mode = Mode::Both;
-      else if (tok[1] == "analytic") spec.run.mode = Mode::Analytic;
-      else if (tok[1] == "both-analytic") spec.run.mode = Mode::BothAnalytic;
-      else throw ScenarioError(lineno, "unknown mode '" + tok[1] + "'");
-    } else if (kw == "alloc") {
-      need(2, "alloc <hierarchical|flat>");
-      if (tok[1] == "hierarchical") spec.run.allocation = p2pdc::AllocationMode::Hierarchical;
-      else if (tok[1] == "flat") spec.run.allocation = p2pdc::AllocationMode::Flat;
-      else throw ScenarioError(lineno, "unknown allocation '" + tok[1] + "'");
-    } else if (kw == "scheme") {
-      need(2, "scheme <sync|async>");
-      if (tok[1] == "sync") spec.run.scheme = p2psap::Scheme::Synchronous;
-      else if (tok[1] == "async") spec.run.scheme = p2psap::Scheme::Asynchronous;
-      else throw ScenarioError(lineno, "unknown scheme '" + tok[1] + "'");
-    } else if (kw == "seed") {
-      need(2, "seed <n>");
-      char* end = nullptr;
-      spec.run.seed = std::strtoull(tok[1].c_str(), &end, 10);
-      if (end == tok[1].c_str() || *end != '\0')
-        throw ScenarioError(lineno, "bad seed '" + tok[1] + "'");
-    } else if (kw == "grid") {
-      need(2, "grid <n>");
-      spec.run.grid_n = parse_int(tok[1], lineno, "grid");
-    } else if (kw == "iters") {
-      need(2, "iters <n>");
-      spec.run.iters = parse_int(tok[1], lineno, "iters");
-    } else if (kw == "rcheck") {
-      need(2, "rcheck <n>");
-      spec.run.rcheck = parse_int(tok[1], lineno, "rcheck");
-    } else if (kw == "bench") {
-      need(4, "bench <n> <iters> <rcheck>");
-      spec.run.bench_n = parse_int(tok[1], lineno, "bench n");
-      spec.run.bench_iters = parse_int(tok[2], lineno, "bench iters");
-      spec.run.bench_rcheck = parse_int(tok[3], lineno, "bench rcheck");
-    } else if (kw == "omega") {
-      need(2, "omega <x>");
-      spec.run.omega = parse_double(tok[1], lineno, "omega");
-    } else if (kw == "cmax") {
-      need(2, "cmax <n>");
-      spec.run.cmax = parse_int(tok[1], lineno, "cmax");
-    } else if (kw == "boot") {
-      need(2, "boot <eager|lazy>");
-      if (tok[1] == "eager") spec.run.lazy_boot = false;
-      else if (tok[1] == "lazy") spec.run.lazy_boot = true;
-      else throw ScenarioError(lineno, "unknown boot mode '" + tok[1] + "'");
-    } else if (kw == "trackers") {
-      need(2, "trackers <n>");
-      spec.run.trackers = parse_int(tok[1], lineno, "trackers");
-      if (spec.run.trackers < 1) throw ScenarioError(lineno, "trackers must be >= 1");
-    } else if (kw == "ranks") {
-      need(2, "ranks <n>");
-      spec.run.ranks = parse_int(tok[1], lineno, "ranks");
-      if (spec.run.ranks < 0) throw ScenarioError(lineno, "ranks must be >= 0");
-    } else if (kw == "trace") {
-      need(2, "trace <path>");
-      spec.run.trace_path = tok[1];
-    } else if (kw == "churn") {
-      try {
-        churn::parse_churn_tokens(tok, spec.run.churn);
-      } catch (const std::invalid_argument& e) {
-        throw ScenarioError(lineno, e.what());
-      }
     } else {
-      throw ScenarioError(lineno, "unknown keyword '" + kw + "'");
+      try {
+        if (kw == "churn")
+          churn::parse_churn_tokens(tok, spec.run.churn);
+        else
+          keys::row(run_rows(), kw, "keyword").parse(spec.run, std::span(tok).subspan(1));
+      } catch (const std::invalid_argument& e) {
+        throw ScenarioError(lineno, e.what());
+      }
     }
   }
   return spec;
 }
 
 std::string render_scenario(const ScenarioSpec& spec) {
-  std::ostringstream out;
-  out << "scenario " << spec.name << "\n";
+  std::string out = "scenario " + spec.name + "\n";
   if (const auto* f = std::get_if<PlatformFileSpec>(&spec.platform.spec)) {
     if (!f->path.empty()) {
-      out << "platform file " << f->path << "\n";
+      out += "platform file " + f->path + "\n";
     } else {
-      out << "platform inline\n" << f->text;
-      if (!f->text.empty() && f->text.back() != '\n') out << "\n";
-      out << "end\n";
+      out += "platform inline\n" + f->text;
+      if (!f->text.empty() && f->text.back() != '\n') out += "\n";
+      out += "end\n";
     }
   } else {
-    out << render_platform_line(spec.platform) << "\n";
+    out += render_platform_line(spec.platform) + "\n";
   }
-  const RunSpec& r = spec.run;
-  out << "peers " << r.peers << "\n";
-  out << "opt " << ir::opt_level_name(r.level) << "\n";
-  out << "mode " << mode_name(r.mode) << "\n";
-  out << "alloc "
-      << (r.allocation == p2pdc::AllocationMode::Hierarchical ? "hierarchical" : "flat")
-      << "\n";
-  out << "scheme " << (r.scheme == p2psap::Scheme::Synchronous ? "sync" : "async") << "\n";
-  out << "seed " << r.seed << "\n";
-  out << "grid " << r.grid_n << "\n";
-  out << "iters " << r.iters << "\n";
-  out << "rcheck " << r.rcheck << "\n";
-  out << "bench " << r.bench_n << " " << r.bench_iters << " " << r.bench_rcheck << "\n";
-  out << "omega " << format_shortest(r.omega) << "\n";
-  out << "cmax " << r.cmax << "\n";
-  // Scale knobs render only when non-default, so pre-existing scenarios keep
-  // their exact text form (same contract as the churn lines below).
-  if (r.lazy_boot) out << "boot lazy\n";
-  if (r.trackers != 1) out << "trackers " << r.trackers << "\n";
-  if (r.ranks != 0) out << "ranks " << r.ranks << "\n";
+  keys::render(out, run_rows(), spec.run, "", ' ', "\n");
   // Empty for a default ChurnSpec: churn-free scenarios keep the exact text
   // form they had before churn existed (stable campaign resume identities).
-  out << churn::render_churn_lines(r.churn);
-  return out.str();
+  out += churn::render_churn_lines(spec.run.churn);
+  return out;
 }
 
 }  // namespace pdc::scenario

@@ -8,10 +8,11 @@
 // Text format (line oriented, '#' starts a comment):
 //
 //   scenario <name>
-//   platform <preset>                    # grid5000 | lan | xdsl | federation | wan
-//   platform star|daisy|federation|wan [key=value ...]
+//   platform <preset>          # grid5000 | lan | xdsl: the paper's platforms
+//   platform star|daisy|federation|wan|scale_free|small_world [key=value ...]
+//                              # a generator; unset keys keep its defaults
 //   platform file <path>
-//   platform inline                      # raw net::platfile lines until 'end'
+//   platform inline            # raw net::platfile lines until 'end'
 //     host a speed 3GHz ip 10.0.0.1
 //     ...
 //   end
@@ -25,16 +26,21 @@
 //   bench <n> <iters> <rcheck>
 //   omega <x>
 //   cmax <n>
-//   churn ...                            # fault injection; see churn/spec.hpp
-//   trace <path>                         # write a Chrome-trace JSON of the run
+//   boot <eager|lazy>   trackers <n>       ranks <n>
+//   churn ...                  # fault injection; see churn/spec.hpp
+//   trace <path>               # write a Chrome-trace JSON of the run
 //
 // Key=value platform parameters take the platfile units (speed 3GHz,
 // bandwidth 1Gbps, latency 100us); `speeds=` takes a comma-separated list.
-// See examples/scenarios/ for complete files.
+// Each keyword's spelling, range check and render order is one row of the
+// key table in spec.cpp (see support/spec_keys.hpp). See
+// examples/scenarios/ for complete files.
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -53,9 +59,9 @@ struct PlatformFileSpec {
   std::string text;
 };
 
-/// What to simulate on: a tagged union over every platform generator. New
-/// generators extend the variant (and the spec.cpp parse/render/build
-/// tables) without touching RunSpec or the Runner.
+/// What to simulate on: a tagged union over every platform generator. A new
+/// generator extends the variant, adds its key rows in spec.cpp and its
+/// build/deploy arms in runner.cpp, without touching RunSpec or callers.
 struct PlatformSpec {
   using Variant = std::variant<net::StarSpec, net::DaisySpec, PlatformFileSpec,
                                net::FederationSpec, net::WanSpec, net::ScaleFreeSpec,
@@ -80,6 +86,10 @@ struct PlatformSpec {
   // run's peer count when 0).
   static PlatformSpec scale_free();
   static PlatformSpec small_world();
+  /// `platform <name>` / `sweep platform <name>`: the three paper
+  /// platforms, or a generator kind with its defaults (federation, wan,
+  /// scale_free, small_world); nullopt for any other name.
+  static std::optional<PlatformSpec> preset(std::string_view name);
   static PlatformSpec from_file(std::string path);
   static PlatformSpec from_text(std::string platfile_text);
 };
@@ -176,10 +186,6 @@ std::string render_scenario(const ScenarioSpec& spec);
 // Building blocks shared with the campaign format (src/campaign/), which
 // embeds scenario lines and platform descriptions in its own files.
 
-/// Splits one spec line into whitespace-separated tokens; '#' starts a
-/// comment that runs to the end of the line.
-std::vector<std::string> tokenize_spec_line(const std::string& line);
-
 /// Parses one tokenized `platform <kind> [key=value ...]` line
 /// (tokens[0] == "platform"); handles presets and every generator kind
 /// except `inline`. Throws ScenarioError with `line`.
@@ -188,5 +194,15 @@ PlatformSpec parse_platform_tokens(const std::vector<std::string>& tokens, int l
 /// Renders a non-file platform spec as its one-line text form (the inverse
 /// of parse_platform_tokens).
 std::string render_platform_line(const PlatformSpec& spec);
+
+/// Parses one value of a scalar run keyword, spelled as in a scenario line
+/// ("peers", "scheme", "seed", ... or "churn rate", "churn seed"), into
+/// `run` through that keyword's row: the campaign's sweep axes take exactly
+/// what the scenario line takes. Throws ScenarioError with `line`.
+void parse_run_value(RunSpec& run, std::string_view key, const std::string& value,
+                     int line);
+
+/// The text form of `key`'s value in `run` (the inverse of parse_run_value).
+std::string render_run_value(const RunSpec& run, std::string_view key);
 
 }  // namespace pdc::scenario

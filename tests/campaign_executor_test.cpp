@@ -130,6 +130,26 @@ TEST(CampaignExecutor, ShippedSmokeCampaignRunsThenResumesEverything) {
   EXPECT_EQ(second.executed, 0u);
   EXPECT_EQ(second.skipped, 8u);
   EXPECT_EQ(second.errors, 0u);
+
+  // Every file the campaign wrote reads back: the report and each record
+  // parse as JSON, and the CSV carries its 20-column header.
+  auto slurp = [](const fs::path& path) {
+    std::ifstream file(path);
+    std::stringstream body;
+    body << file.rdbuf();
+    return body.str();
+  };
+  EXPECT_NO_THROW(parse_json(slurp(dir.path / "report.json")));
+  std::size_t records = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path / "runs")) {
+    EXPECT_NO_THROW(parse_json(slurp(entry.path()))) << entry.path();
+    ++records;
+  }
+  EXPECT_EQ(records, 8u);
+  const std::string csv = slurp(dir.path / "report.csv");
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "campaign,point,platform,kind,peers,opt,scheme,alloc,seed,repetitions,errors,"
+            "metric,n,mean,stddev,min,max,p50,p95,ci95_half");
 }
 
 TEST(CampaignExecutor, AnalyticCampaignDerivesNoCostProfile) {

@@ -182,11 +182,11 @@ route a b l1 fabric:fwd l2
 }
 
 TEST(PlatFile, UnitValueParsers) {
-  EXPECT_DOUBLE_EQ(parse_speed_value("2.5GHz"), 2.5e9);
-  EXPECT_DOUBLE_EQ(parse_bandwidth_value("1Gbps"), 1e9 / 8);
-  EXPECT_DOUBLE_EQ(parse_latency_value("100us"), 100e-6);
-  EXPECT_THROW(parse_speed_value("fast"), std::invalid_argument);
-  EXPECT_THROW(parse_bandwidth_value("1Gb"), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(kSpeed.parse("2.5GHz", "speed"), 2.5e9);
+  EXPECT_DOUBLE_EQ(kBandwidth.parse("1Gbps", "bandwidth"), 1e9 / 8);
+  EXPECT_DOUBLE_EQ(kLatency.parse("100us", "latency"), 100e-6);
+  EXPECT_THROW(kSpeed.parse("fast", "speed"), std::invalid_argument);
+  EXPECT_THROW(kBandwidth.parse("1Gb", "bandwidth"), std::invalid_argument);
 }
 
 TEST(PlatFile, CommentsAndBlankLinesIgnored)

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -36,8 +37,7 @@ RunSpec smoke_run(int peers) {
 /// error record whose text contains `error`. A crash, a hang (the alarm
 /// kills the child) or any other record fails the test without taking the
 /// suite down or stalling it.
-void expect_error_record(const std::string& text, const std::string& error) {
-  const ScenarioSpec spec = parse_scenario(text, smoke_run(4));
+void expect_error_record(const ScenarioSpec& spec, const std::string& error) {
   EXPECT_EXIT(
       {
         alarm(30);
@@ -46,13 +46,50 @@ void expect_error_record(const std::string& text, const std::string& error) {
         std::exit(!rec.ok() && rec.error.find(error) != std::string::npos ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "")
-      << text;
+      << render_scenario(spec);
+}
+
+void expect_error_record(const std::string& text, const std::string& error) {
+  expect_error_record(parse_scenario(text, smoke_run(4)), error);
 }
 
 TEST(ScenarioRunner, ZeroPeersIsAnErrorRecord) {
   for (const char* platform : {"grid5000", "lan", "xdsl", "federation", "wan"})
     expect_error_record(std::string("platform ") + platform + "\npeers 0\n",
                         "peers (0) must be >= 1");
+}
+
+TEST(ScenarioRunner, ZeroRcheckOrCmaxIsAnErrorRecord) {
+  // The text rows reject both; a spec built in code must not reach the
+  // `it % rcheck` division or the unbounded chunk split with them.
+  ScenarioSpec spec;
+  spec.platform = PlatformSpec::lan();
+  spec.run = smoke_run(4);
+  spec.run.rcheck = 0;
+  expect_error_record(spec, "rcheck (0) must be >= 1");
+  spec.run.rcheck = 4;
+  spec.run.cmax = 0;
+  expect_error_record(spec, "cmax (0) must be >= 1");
+}
+
+TEST(ScenarioRunner, NonFiniteOmegaNeverReachesTheWorkloadMemo) {
+  // A NaN omega compares equal to every workload key, so one such run
+  // would answer every later workload from its trace set.
+  ScenarioSpec spec;
+  spec.platform = PlatformSpec::lan();
+  spec.run = smoke_run(2);
+  spec.run.grid_n = 42;  // a workload no other test derives
+  spec.run.mode = Mode::Predict;
+  spec.run.omega = std::nan("");
+  const RunRecord rec = Runner{spec}.try_run();
+  EXPECT_FALSE(rec.ok());
+  EXPECT_NE(rec.error.find("omega (nan) must be finite"), std::string::npos) << rec.error;
+  for (const double omega : {0.9, 0.5}) {
+    spec.run.omega = omega;
+    const std::size_t before = memo_stats().trace_sets;
+    ASSERT_TRUE(Runner{spec}.try_run().ok()) << omega;
+    EXPECT_EQ(memo_stats().trace_sets, before + 1) << omega;
+  }
 }
 
 TEST(ScenarioRunner, UnfitPlatformIsAnErrorRecord) {

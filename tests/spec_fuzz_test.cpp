@@ -273,6 +273,22 @@ TEST(SpecFuzz, MalformedScenarioLinesAreRejectedWithDiagnostics) {
       "scenario a b",
       "wibble 3",
       "churn event degrade at=1 link=x",
+      // Out-of-range and negative-unsigned values are errors, not wraps.
+      "peers 4294967298",
+      "grid 4294967297",
+      "ranks 4294967296",
+      "seed -1",
+      "seed 18446744073709551616",
+      "churn seed -1",
+      // Floors the runner depends on, and values that would key the memo.
+      "rcheck 0",
+      "cmax 0",
+      "omega nan",
+      "omega inf",
+      "platform small_world beta=nan",
+      // A repeated key is an error, not last-wins.
+      "platform star hosts=4 hosts=9",
+      "platform star label=a label=b",
   };
   for (const char* line : corpus) {
     const std::string text = std::string("scenario ok\n") + line + "\n";
@@ -310,6 +326,13 @@ TEST(SpecFuzz, MalformedCampaignLinesAreRejectedWithDiagnostics) {
       "variant star hosts=z",
       "variant scale_free routers=z",
       "variant small_world beta=x",
+      "sweep peers 4294967298",
+      "sweep seed -1",
+      "sweep churn_seed -1",
+      "sweep churn_rate nan",
+      "variant star hosts=4 hosts=9",
+      "sweep platform star",
+      "sweep platform daisy",
   };
   for (const char* line : corpus) {
     const std::string text = std::string("campaign ok\n") + line + "\n";
