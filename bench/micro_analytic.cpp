@@ -1,12 +1,13 @@
 // Analytic-planner microbench: the point of mode=analytic is that a grid
 // point costs a handful of max-min rate queries instead of a full
-// discrete-event replay. This harness times the same workload both ways —
-// trace replay (dperf::replay_on on a fresh deployment, exactly what a
-// mode=predict campaign grid point runs) vs. the analytic plan
-// (summarize_trace + dperf::plan_on on a fresh deployment) — over several
-// repetitions and emits the per-grid-point speedup. Traces come from the
-// shared memo outside the timed window: both sides measure prediction cost
-// only, not the dPerf pipeline they share.
+// discrete-event replay. This harness times the same workload both ways
+// through Runner::run(), exactly what a campaign grid point runs — trace
+// replay (mode=predict: dperf::replay_on on a fresh deployment) vs. the
+// analytic plan (mode=analytic: dperf::plan_on over the workload's
+// summaries on a fresh deployment) — over several repetitions and emits the
+// per-grid-point speedup. Traces and summaries come from the shared memos,
+// warmed outside the timed window: both sides measure prediction cost only,
+// not the dPerf pipeline they share.
 //
 // Emits BENCH_analytic.json (pass a path as argv[1] to redirect).
 #include <algorithm>
@@ -16,10 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "dperf/analytic.hpp"
-#include "dperf/dperf.hpp"
-#include "dperf/summary.hpp"
-#include "obstacle/distributed.hpp"
 #include "scenario/runner.hpp"
 #include "support/json.hpp"
 
@@ -70,11 +67,15 @@ int main(int argc, char** argv) {
       scenario::PlatformSpec::grid5000(), scenario::PlatformSpec::lan(),
       scenario::PlatformSpec::xdsl()};
   for (const scenario::PlatformSpec& platform : platforms) {
-    const scenario::ScenarioSpec spec = bench_spec(platform, "micro-analytic");
-    const scenario::Runner runner{spec};
-    // Warm the process-wide memos (cost profile + traces) outside the
-    // timed window; a campaign amortizes them the same way.
-    const std::vector<dperf::Trace> traces = runner.traces();
+    scenario::ScenarioSpec spec = bench_spec(platform, "micro-analytic");
+    spec.run.mode = scenario::Mode::Predict;
+    const scenario::Runner replay{spec};
+    spec.run.mode = scenario::Mode::Analytic;
+    const scenario::Runner plan{spec};
+    // Warm the process-wide memos (traces + summaries) outside the timed
+    // window; a campaign amortizes them the same way.
+    replay.run();
+    plan.run();
 
     Result r;
     r.platform = platform.label;
@@ -83,16 +84,16 @@ int main(int argc, char** argv) {
     r.replay_seconds = 1e300;
     for (int i = 0; i < reps; ++i) {
       const auto t0 = std::chrono::steady_clock::now();
-      const scenario::PhaseRecord ph = runner.run_predicted(traces);
+      const scenario::RunRecord rec = replay.run();
       r.replay_seconds = std::min(r.replay_seconds, seconds_since(t0));
-      r.replay_solve = ph.solve_seconds;
+      r.replay_solve = rec.predicted->solve_seconds;
     }
     r.analytic_seconds = 1e300;
     for (int i = 0; i < reps; ++i) {
       const auto t0 = std::chrono::steady_clock::now();
-      const scenario::PhaseRecord ph = runner.run_analytic(traces);
+      const scenario::RunRecord rec = plan.run();
       r.analytic_seconds = std::min(r.analytic_seconds, seconds_since(t0));
-      r.analytic_solve = ph.solve_seconds;
+      r.analytic_solve = rec.analytic->solve_seconds;
     }
     r.speedup = r.analytic_seconds > 0 ? r.replay_seconds / r.analytic_seconds : 0;
     r.rel_error = r.replay_solve > 0

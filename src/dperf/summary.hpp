@@ -1,9 +1,8 @@
 // Compact per-iteration trace summaries: the input to the analytic planner
-// (ROADMAP item 3). A dPerf trace is collapsed once into its pre-loop events
+// (dperf::plan_on). A dPerf trace is collapsed once into its pre-loop events
 // plus run-length-encoded iteration bodies — extrapolated traces, whose
-// steady chunks are literal copies, compress to a handful of blocks — and a
-// set of aggregates (compute work, span, per-peer send volume, collective
-// count) that campaigns and tools can inspect without replaying anything.
+// steady chunks are literal copies, compress to a handful of blocks — and
+// its collective count, which the planner checks across ranks.
 #pragma once
 
 #include <cstdint>
@@ -21,12 +20,6 @@ struct IterBlock {
   std::uint64_t repeats = 1;
 };
 
-/// Outbound volume toward one peer rank.
-struct PeerVolume {
-  double bytes = 0;
-  std::uint64_t count = 0;
-};
-
 struct TraceSummary {
   int rank = 0;
   int nprocs = 1;
@@ -38,20 +31,12 @@ struct TraceSummary {
   /// marker_{i+1}); the final block additionally holds everything after the
   /// last marker (the closing iteration plus post-loop events).
   std::vector<IterBlock> blocks;
-
-  // Aggregates over the whole trace.
-  std::uint64_t iterations = 0;        // number of iteration markers
-  std::uint64_t total_compute_ns = 0;  // pre + all iterations
-  std::uint64_t span_ns = 0;           // max single-iteration compute
-  std::uint64_t collectives = 0;       // allreduce count
-  std::vector<PeerVolume> send_to;     // indexed by peer rank, size nprocs
-
-  /// Expanded operation count (pre + sum over blocks of ops * repeats).
-  std::uint64_t op_count() const;
+  /// Allreduce count over the whole trace.
+  std::uint64_t collectives = 0;
 };
 
 /// One pass over the trace; never fails (a marker-free trace summarizes to
-/// pre-only with zero iterations).
+/// pre-only with no blocks).
 TraceSummary summarize_trace(const Trace& trace);
 
 }  // namespace pdc::dperf

@@ -353,6 +353,7 @@ std::unique_ptr<Deployment> deploy(const PlatformSpec& spec, const RunSpec& run)
 namespace {
 
 using TraceSet = std::vector<dperf::Trace>;
+using Summaries = std::vector<dperf::TraceSummary>;
 
 /// The one workload key: every RunSpec field the dPerf traces (and their
 /// summaries) depend on — never the platform, so a campaign replaying one
@@ -383,7 +384,14 @@ struct CostKey {
 // workload once, then every grid point is just plan_on.
 support::Memo<CostKey, obstacle::CostProfile> cost_memo;
 support::Memo<WorkloadKey, TraceSet> trace_memo;
-support::Memo<WorkloadKey, std::vector<dperf::TraceSummary>> summary_memo;
+support::Memo<WorkloadKey, Summaries> summary_memo;
+
+Summaries summarize(const TraceSet& traces) {
+  Summaries out;
+  out.reserve(traces.size());
+  for (const dperf::Trace& t : traces) out.push_back(dperf::summarize_trace(t));
+  return out;
+}
 
 std::shared_ptr<const TraceSet> shared_traces(const RunSpec& run) {
   return trace_memo.get(WorkloadKey(run), [&run] {
@@ -465,6 +473,38 @@ PhaseRecord predicted_phase(const ScenarioSpec& spec,
       });
 }
 
+PhaseRecord analytic_phase(const ScenarioSpec& spec, const Summaries& summaries) {
+  // A deployment supplies the platform, the booted overlay (tracker lists
+  // for the collection model) and the worker placement — but the planner
+  // runs zero simulation on it: no events, no flows, no churn injection
+  // (the plan prices the churn-free baseline). Workers boot lazily
+  // regardless of the spec's knob: passive registration yields the
+  // identical placement without simulating any peer actors, so the
+  // deployment cost stays out of the plan's per-grid-point budget.
+  const RunSpec& run = spec.run;
+  return drive_phase(
+      spec, "analytic", "analytic plan", /*lazy_boot=*/true, /*churn=*/false,
+      [&](Deployment& d, PhaseRecord& ph) -> std::optional<std::string> {
+        dperf::AnalyticReport rep =
+            dperf::plan_on(*d.env, d.submitter,
+                           obstacle::make_task_spec(config_of(run), run.rank_count()),
+                           summaries, d.workers);
+        if (!rep.ok) return std::move(rep.failure);
+        ph.solve_seconds = rep.solve_seconds;
+        ph.total_seconds = rep.total_seconds;
+        // Synthetic computation milestones on the planner's clock
+        // (t_submit = 0), so collection/allocation/total read as usual.
+        ph.computation.ok = true;
+        ph.computation.peers = rep.peers;
+        ph.computation.groups = rep.groups;
+        ph.computation.t_submit = 0;
+        ph.computation.t_collected = rep.collection_seconds;
+        ph.computation.t_allocated = rep.collection_seconds + rep.allocation_seconds;
+        ph.computation.t_finished = rep.total_seconds;
+        return std::nullopt;
+      });
+}
+
 }  // namespace
 
 const obstacle::CostProfile& cost_profile(ir::OptLevel level, const RunSpec& run) {
@@ -517,41 +557,7 @@ PhaseRecord Runner::run_predicted(std::vector<dperf::Trace> traces) const {
 }
 
 PhaseRecord Runner::run_analytic(const std::vector<dperf::Trace>& traces) const {
-  // A deployment supplies the platform, the booted overlay (tracker lists
-  // for the collection model) and the worker placement — but the planner
-  // runs zero simulation on it: no events, no flows, no churn injection
-  // (the plan prices the churn-free baseline). Workers boot lazily
-  // regardless of the spec's knob: passive registration yields the
-  // identical placement without simulating any peer actors, so the
-  // deployment cost stays out of the plan's per-grid-point budget.
-  const RunSpec& run = spec_.run;
-  return drive_phase(
-      spec_, "analytic", "analytic plan", /*lazy_boot=*/true, /*churn=*/false,
-      [&](Deployment& d, PhaseRecord& ph) -> std::optional<std::string> {
-        const auto summaries = summary_memo.get(WorkloadKey(run), [&traces] {
-          std::vector<dperf::TraceSummary> fresh;
-          fresh.reserve(traces.size());
-          for (const dperf::Trace& t : traces) fresh.push_back(dperf::summarize_trace(t));
-          return fresh;
-        });
-        dperf::AnalyticReport rep =
-            dperf::plan_on(*d.env, d.submitter,
-                           obstacle::make_task_spec(config_of(run), run.rank_count()),
-                           *summaries, d.workers);
-        if (!rep.ok) return std::move(rep.failure);
-        ph.solve_seconds = rep.solve_seconds;
-        ph.total_seconds = rep.total_seconds;
-        // Synthetic computation milestones on the planner's clock
-        // (t_submit = 0), so collection/allocation/total read as usual.
-        ph.computation.ok = true;
-        ph.computation.peers = rep.peers;
-        ph.computation.groups = rep.groups;
-        ph.computation.t_submit = 0;
-        ph.computation.t_collected = rep.collection_seconds;
-        ph.computation.t_allocated = rep.collection_seconds + rep.allocation_seconds;
-        ph.computation.t_finished = rep.total_seconds;
-        return std::nullopt;
-      });
+  return analytic_phase(spec_, summarize(traces));
 }
 
 RunRecord Runner::run_phases(const char*& phase) const {
@@ -612,7 +618,8 @@ RunRecord Runner::run_phases(const char*& phase) const {
   }
   if (plans) {
     phase = "analytic";
-    rec.analytic = run_analytic(*tr);
+    rec.analytic = analytic_phase(
+        spec_, *summary_memo.get(WorkloadKey(run), [&tr] { return summarize(*tr); }));
   }
   if (recorder) {
     phase = "trace";

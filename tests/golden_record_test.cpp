@@ -2,17 +2,22 @@
 // RunRecord and CampaignReport are committed under tests/golden/, and the
 // writers must reproduce them byte for byte — any schema drift becomes a
 // reviewed diff instead of a silent break — while the support reader must
-// recover every value losslessly.
+// recover every value losslessly. The dPerf front end's own outputs (rank
+// traces and block timings) are pinned the same way, as digests.
 //
 // Regenerate after an intentional schema change with:
 //   PDC_UPDATE_GOLDEN=1 ./build/tests/golden_record_test
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "campaign/executor.hpp"
+#include "dperf/dperf.hpp"
+#include "obstacle/minic_kernel.hpp"
 #include "scenario/runner.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
@@ -236,6 +241,72 @@ TEST(GoldenRecord, CampaignReportReadsBackLosslessly) {
   EXPECT_EQ(metric.at("mean").as_double(), 12.25);
   EXPECT_EQ(metric.at("ci95_half").as_double(), 0.75);
   EXPECT_TRUE(point.at("metrics").has("reference_churn_attempts"));
+}
+
+/// FNV-1a 64 over `bytes`.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The dPerf front end at quick sizing (grid 258, iters 100, rcheck 4): one
+// line per opt level x rank count with the event count, the compute ns and
+// a digest of every rank's `save_trace` text, then one line per level of
+// the block benchmark behind the cost profile at the default bench sizing
+// (66, 9, 3). A faster compiler or VM must leave every byte of this
+// unchanged.
+TEST(GoldenRecord, DperfTracesAndBlockTimingsAreByteStable) {
+  const ir::OptLevel levels[] = {ir::OptLevel::O0, ir::OptLevel::O1, ir::OptLevel::O2,
+                                 ir::OptLevel::O3, ir::OptLevel::Os};
+  std::string text;
+  char line[256];
+  for (const ir::OptLevel level : levels) {
+    for (const int ranks : {1, 2, 4, 32}) {
+      scenario::RunSpec run;
+      run.grid_n = 258;
+      run.iters = 100;
+      run.level = level;
+      run.peers = ranks;
+      const std::vector<dperf::Trace> traces =
+          scenario::Runner{{"golden", scenario::PlatformSpec::lan(), run}}.traces();
+      std::string bytes;
+      std::uint64_t events = 0, compute_ns = 0;
+      for (const dperf::Trace& t : traces) {
+        bytes += dperf::save_trace(t);
+        events += t.events.size();
+        compute_ns += t.total_compute_ns();
+      }
+      std::snprintf(line, sizeof line,
+                    "trace %s ranks=%d events=%llu compute_ns=%llu fnv=%016llx\n",
+                    ir::opt_level_name(level), ranks, static_cast<unsigned long long>(events),
+                    static_cast<unsigned long long>(compute_ns),
+                    static_cast<unsigned long long>(fnv1a(bytes)));
+      text += line;
+    }
+  }
+  for (const ir::OptLevel level : levels) {
+    const scenario::RunSpec run;
+    dperf::DperfOptions opt;
+    opt.level = level;
+    const dperf::Dperf pipeline{obstacle::minic_kernel_source(), opt};
+    obstacle::ObstacleProblem problem;
+    problem.n = run.bench_n;
+    problem.omega = run.omega;
+    const dperf::BlockTimings timings = pipeline.benchmark(
+        obstacle::kernel_workload(problem, run.bench_iters, run.bench_rcheck));
+    text += std::string("blocks ") + ir::opt_level_name(level);
+    for (const dperf::BlockTimings::Entry& e : timings.entries) {
+      std::snprintf(line, sizeof line, " %d:%llu:%.17g", e.info.id,
+                    static_cast<unsigned long long>(e.executions), e.mean_ns);
+      text += line;
+    }
+    text += "\n";
+  }
+  check_against_golden(text, "dperf_traces.quick.txt");
 }
 
 }  // namespace
