@@ -3,7 +3,8 @@
 // writers must reproduce them byte for byte — any schema drift becomes a
 // reviewed diff instead of a silent break — while the support reader must
 // recover every value losslessly. The dPerf front end's own outputs (rank
-// traces and block timings) are pinned the same way, as digests.
+// traces and block timings) are pinned the same way, as digests, and so
+// are the analytic planner's plans.
 //
 // Regenerate after an intentional schema change with:
 //   PDC_UPDATE_GOLDEN=1 ./build/tests/golden_record_test
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "campaign/executor.hpp"
 #include "dperf/dperf.hpp"
@@ -307,6 +309,50 @@ TEST(GoldenRecord, DperfTracesAndBlockTimingsAreByteStable) {
     text += "\n";
   }
   check_against_golden(text, "dperf_traces.quick.txt");
+}
+
+// The analytic planner at quick sizing (grid 258, iters 100): one line per
+// cell of platform x scheme x allocation x ranks x opt level in mode
+// analytic, with the plan's times at full precision. A change to how the
+// planner reads its traces must leave every byte of this unchanged.
+TEST(GoldenRecord, AnalyticPlansAreByteStable) {
+  const std::pair<const char*, scenario::PlatformSpec> platforms[] = {
+      {"lan", scenario::PlatformSpec::lan()},
+      {"grid5000", scenario::PlatformSpec::grid5000()},
+      {"xdsl", scenario::PlatformSpec::xdsl()}};
+  std::string text;
+  char line[512];
+  for (const auto& [name, platform] : platforms)
+    for (const p2psap::Scheme scheme : {p2psap::Scheme::Synchronous, p2psap::Scheme::Asynchronous})
+      for (const p2pdc::AllocationMode alloc :
+           {p2pdc::AllocationMode::Hierarchical, p2pdc::AllocationMode::Flat})
+        for (const int ranks : {4, 32})
+          for (const ir::OptLevel level : {ir::OptLevel::O0, ir::OptLevel::O3}) {
+            scenario::RunSpec run;
+            run.grid_n = 258;
+            run.iters = 100;
+            run.peers = ranks;
+            run.level = level;
+            run.scheme = scheme;
+            run.allocation = alloc;
+            run.mode = scenario::Mode::Analytic;
+            const scenario::RunRecord rec = scenario::Runner{{"golden", platform, run}}.run();
+            ASSERT_TRUE(rec.analytic.has_value()) << rec.error;
+            const scenario::PhaseRecord& ph = *rec.analytic;
+            std::snprintf(line, sizeof line,
+                          "analytic %s %s %s ranks=%d %s solve_seconds=%.17g "
+                          "total_seconds=%.17g t_collected=%.17g t_allocated=%.17g "
+                          "peers=%d groups=%d\n",
+                          name,
+                          scheme == p2psap::Scheme::Synchronous ? "sync" : "async",
+                          alloc == p2pdc::AllocationMode::Flat ? "flat" : "hierarchical",
+                          ranks, ir::opt_level_name(level), ph.solve_seconds,
+                          ph.total_seconds, ph.computation.t_collected,
+                          ph.computation.t_allocated, ph.computation.peers,
+                          ph.computation.groups);
+            text += line;
+          }
+  check_against_golden(text, "analytic_plans.quick.txt");
 }
 
 }  // namespace
