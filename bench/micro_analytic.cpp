@@ -4,9 +4,9 @@
 // through Runner::run(), exactly what a campaign grid point runs — trace
 // replay (mode=predict: dperf::replay_on on a fresh deployment) vs. the
 // analytic plan (mode=analytic: dperf::plan_on over the workload's
-// summaries on a fresh deployment) — over several repetitions and emits the
-// per-grid-point speedup. Traces and summaries come from the shared memos,
-// warmed outside the timed window: both sides measure prediction cost only,
+// traces on a fresh deployment) — over several repetitions and emits the
+// per-grid-point speedup. Traces come from the shared memo, warmed outside
+// the timed window: both sides measure prediction cost only,
 // not the dPerf pipeline they share.
 //
 // Emits BENCH_analytic.json (pass a path as argv[1] to redirect).
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     const scenario::Runner replay{spec};
     spec.run.mode = scenario::Mode::Analytic;
     const scenario::Runner plan{spec};
-    // Warm the process-wide memos (traces + summaries) outside the timed
+    // Warm the process-wide trace memo outside the timed
     // window; a campaign amortizes them the same way.
     replay.run();
     plan.run();

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "alloc/groups.hpp"
+#include "dperf/summary.hpp"
 #include "net/flow.hpp"
 #include "p2psap/p2psap.hpp"
 
@@ -25,14 +26,13 @@ struct SendTiming {
   double resume = 0;
 };
 
-/// Cursor over a summary's expanded op stream (pre ops, then each iteration
-/// block body `repeats` times). `send_k` is the send index within the
-/// current iteration body — the key of the phase-rate cache.
+/// Cursor over a rank's trace events. `in_body` is set from the first
+/// iteration marker on; `send_k` is the send index within the current
+/// iteration body — the key of the phase-rate cache.
 struct Cursor {
-  int block = -1;  // -1 = pre
-  std::size_t op = 0;
-  std::uint64_t rep = 0;
+  std::size_t at = 0;
   std::size_t send_k = 0;
+  bool in_body = false;
   bool finished = false;
 };
 
@@ -48,14 +48,13 @@ struct RankState {
 class Planner {
  public:
   Planner(p2pdc::Environment& env, net::NodeIdx submitter, p2pdc::TaskSpec spec,
-          const std::vector<TraceSummary>& summaries,
-          const std::vector<net::NodeIdx>& workers)
+          const std::vector<Trace>& traces, const std::vector<net::NodeIdx>& workers)
       : env_(env),
         platform_(env.platform()),
         flownet_(env.flownet()),
         submitter_(submitter),
         spec_(std::move(spec)),
-        summaries_(summaries),
+        traces_(traces),
         workers_(workers) {}
 
   AnalyticReport run();
@@ -137,7 +136,7 @@ class Planner {
   bool place();  // groups + rank hosts; false on failure
   double collection_model();
   void allocation_model();
-  void precompute_phase_rates();
+  void precompute_phase_rates(const std::vector<TraceSummary>& summaries);
   bool evaluate();  // false on deadlock
   double gather_model();
   std::vector<double> allreduce_exits(const std::vector<double>& entry);
@@ -150,7 +149,7 @@ class Planner {
   const net::FlowNet& flownet_;
   net::NodeIdx submitter_;
   p2pdc::TaskSpec spec_;
-  const std::vector<TraceSummary>& summaries_;
+  const std::vector<Trace>& traces_;
   const std::vector<net::NodeIdx>& workers_;
 
   std::vector<alloc::Group> groups_;
@@ -180,7 +179,7 @@ class Planner {
 };
 
 bool Planner::place() {
-  const int n = static_cast<int>(summaries_.size());
+  const int n = static_cast<int>(traces_.size());
   if (static_cast<int>(workers_.size()) < n) {
     failure_ = "not enough peers: wanted " + std::to_string(n) + ", have " +
                std::to_string(workers_.size());
@@ -207,7 +206,7 @@ bool Planner::place() {
       RankState rs;
       rs.host = groups_[g].members[m].node;
       const double hz = platform_.node(rs.host).speed_hz;
-      rs.scale = summaries_[ranks_.size()].host_hz / (hz > 0 ? hz : 3e9);
+      rs.scale = traces_[ranks_.size()].host_hz / (hz > 0 ? hz : 3e9);
       ranks_.push_back(rs);
       group_of_.push_back(static_cast<int>(g));
     }
@@ -291,30 +290,21 @@ void Planner::allocation_model() {
   for (const RankState& r : ranks_) t_allocated_ = std::max(t_allocated_, r.start);
 }
 
-void Planner::precompute_phase_rates() {
+void Planner::precompute_phase_rates(const std::vector<TraceSummary>& summaries) {
   // The k-th data send of each rank's steady iteration body forms one
   // (approximately) simultaneous flow set; one max-min query per k prices
   // the contention the replay's flow engine would resolve per message.
   const std::size_t n = ranks_.size();
-  std::vector<std::vector<int>> send_dst(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const TraceSummary& s = summaries_[r];
-    const IterBlock* steady = nullptr;
-    for (const IterBlock& b : s.blocks)
-      if (steady == nullptr || b.repeats > steady->repeats) steady = &b;
-    if (steady == nullptr) continue;
-    for (const TraceEvent& e : steady->ops)
-      if (e.kind == TraceEvent::Kind::Send) send_dst[r].push_back(e.peer);
-  }
   std::size_t max_k = 0;
-  for (const auto& v : send_dst) max_k = std::max(max_k, v.size());
+  for (const TraceSummary& s : summaries) max_k = std::max(max_k, s.steady_sends.size());
   phase_rate_.assign(n, {});
   for (std::size_t k = 0; k < max_k; ++k) {
     std::vector<std::pair<net::NodeIdx, net::NodeIdx>> endpoints;
     std::vector<std::size_t> who;
     for (std::size_t r = 0; r < n; ++r) {
-      if (k >= send_dst[r].size()) continue;
-      const int dst = send_dst[r][k];
+      const std::vector<int>& sends = summaries[r].steady_sends;
+      if (k >= sends.size()) continue;
+      const int dst = sends[k];
       if (dst < 0 || dst >= static_cast<int>(n)) continue;
       endpoints.emplace_back(ranks_[r].host, ranks_[static_cast<std::size_t>(dst)].host);
       who.push_back(r);
@@ -329,29 +319,17 @@ void Planner::precompute_phase_rates() {
 }
 
 const TraceEvent* Planner::current(int r) {
+  // Iteration markers carry no cost and are not counted as ops: each one
+  // opens an iteration body and restarts its send index.
   Cursor& c = ranks_[static_cast<std::size_t>(r)].cur;
-  const TraceSummary& s = summaries_[static_cast<std::size_t>(r)];
-  while (true) {
-    const std::vector<TraceEvent>& ops =
-        c.block < 0 ? s.pre : s.blocks[static_cast<std::size_t>(c.block)].ops;
-    if (c.op < ops.size()) return &ops[c.op];
-    if (c.block >= 0 &&
-        c.rep + 1 < s.blocks[static_cast<std::size_t>(c.block)].repeats) {
-      ++c.rep;
-      c.op = 0;
-      c.send_k = 0;
-      continue;
-    }
-    if (c.block + 1 < static_cast<int>(s.blocks.size())) {
-      ++c.block;
-      c.rep = 0;
-      c.op = 0;
-      c.send_k = 0;
-      continue;
-    }
-    c.finished = true;
-    return nullptr;
+  const std::vector<TraceEvent>& events = traces_[static_cast<std::size_t>(r)].events;
+  for (; c.at < events.size(); ++c.at) {
+    if (events[c.at].kind != TraceEvent::Kind::IterMark) return &events[c.at];
+    c.in_body = true;
+    c.send_k = 0;
   }
+  c.finished = true;
+  return nullptr;
 }
 
 void Planner::run_until_blocked(int r) {
@@ -367,7 +345,7 @@ void Planner::run_until_blocked(int r) {
         const int dst = e->peer;
         if (dst < 0 || dst >= static_cast<int>(ranks_.size())) break;  // dropped
         double rate = 0;
-        if (c.block >= 0 && c.send_k < phase_rate_[static_cast<std::size_t>(r)].size())
+        if (c.in_body && c.send_k < phase_rate_[static_cast<std::size_t>(r)].size())
           rate = phase_rate_[static_cast<std::size_t>(r)][c.send_k];
         const net::NodeIdx dst_host = ranks_[static_cast<std::size_t>(dst)].host;
         if (sync_scheme) {
@@ -379,7 +357,7 @@ void Planner::run_until_blocked(int r) {
           const SendTiming st = async_send(rs.clock, rs.host, dst_host, e->bytes, rate);
           async_q_[{r, dst, e->tag}].insert(st.arrival);
         }
-        if (c.block >= 0) ++c.send_k;
+        if (c.in_body) ++c.send_k;
         break;
       }
       case TraceEvent::Kind::Recv: {
@@ -410,10 +388,10 @@ void Planner::run_until_blocked(int r) {
         rs.at_allreduce = true;
         return;
       case TraceEvent::Kind::IterMark:
-        break;  // summaries carry no markers, but stay tolerant
+        break;  // current() consumes markers
     }
     ++ops_;
-    ++c.op;
+    ++c.at;
   }
 }
 
@@ -508,7 +486,7 @@ bool Planner::evaluate() {
       for (std::size_t r = 0; r < n; ++r) {
         ranks_[r].clock = exits[r];
         ranks_[r].at_allreduce = false;
-        ++ranks_[r].cur.op;  // step past the allreduce
+        ++ranks_[r].cur.at;  // step past the allreduce
         ++ops_;
       }
       continue;
@@ -558,17 +536,21 @@ double Planner::gather_model() {
 
 AnalyticReport Planner::run() {
   AnalyticReport rep;
-  const std::size_t n = summaries_.size();
+  const std::size_t n = traces_.size();
   if (n == 0) {
-    rep.failure = "no trace summaries";
+    rep.failure = "no rank traces";
     return rep;
   }
-  for (const TraceSummary& s : summaries_) {
-    if (s.collectives != summaries_[0].collectives) {
-      rep.failure = "trace summaries disagree on collective count (rank " +
-                    std::to_string(s.rank) + " has " + std::to_string(s.collectives) +
-                    ", rank " + std::to_string(summaries_[0].rank) + " has " +
-                    std::to_string(summaries_[0].collectives) + ")";
+  std::vector<TraceSummary> summaries;
+  summaries.reserve(n);
+  for (const Trace& t : traces_) {
+    summaries.push_back(summarize_trace(t));
+    if (summaries.back().collectives != summaries[0].collectives) {
+      rep.failure = "rank traces disagree on collective count (rank " +
+                    std::to_string(t.rank) + " has " +
+                    std::to_string(summaries.back().collectives) + ", rank " +
+                    std::to_string(traces_[0].rank) + " has " +
+                    std::to_string(summaries[0].collectives) + ")";
       return rep;
     }
   }
@@ -581,7 +563,7 @@ AnalyticReport Planner::run() {
 
   const double collection = collection_model();
   allocation_model();
-  precompute_phase_rates();
+  precompute_phase_rates(summaries);
   const bool ok = evaluate();
   const double t_finished = ok ? gather_model() : 0;
 
@@ -611,9 +593,9 @@ AnalyticReport Planner::run() {
 }  // namespace
 
 AnalyticReport plan_on(p2pdc::Environment& env, net::NodeIdx submitter_host,
-                       p2pdc::TaskSpec spec, const std::vector<TraceSummary>& summaries,
+                       p2pdc::TaskSpec spec, const std::vector<Trace>& traces,
                        const std::vector<net::NodeIdx>& worker_hosts) {
-  Planner planner(env, submitter_host, std::move(spec), summaries, worker_hosts);
+  Planner planner(env, submitter_host, std::move(spec), traces, worker_hosts);
   return planner.run();
 }
 

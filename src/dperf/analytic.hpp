@@ -1,18 +1,19 @@
 // Analytic prediction (ROADMAP item 3): predict a computation's solve/total
-// time from trace summaries × the platform model with NO engine replay at
+// time from the rank traces × the platform model with NO engine replay at
 // all. The planner mirrors the P2PDC protocol (collection, grouped
 // allocation, the hierarchical allreduce tree, result gathering) and the
 // P2PSAP channel cost model (per-class header/ack bytes, route latencies)
-// with per-rank scalar clocks, and asks `net::FlowNet::hypothetical_rates`
-// for max-min fair rates of the concurrent flow sets — kremlin-style
-// critical-path planning instead of discrete-event simulation.
+// with per-rank scalar clocks walked over each trace's events, and asks
+// `net::FlowNet::hypothetical_rates` for max-min fair rates of the
+// concurrent flow sets — kremlin-style critical-path planning instead of
+// discrete-event simulation.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "dperf/summary.hpp"
+#include "dperf/trace.hpp"
 #include "net/platform.hpp"
 #include "p2pdc/environment.hpp"
 
@@ -38,14 +39,14 @@ struct AnalyticReport {
   std::uint64_t rate_queries = 0;
 };
 
-/// Plans the computation described by `spec` running `summaries` (one per
+/// Plans the computation described by `spec` running `traces` (one per
 /// rank) on the environment's platform, placing ranks on `worker_hosts`
 /// exactly as allocation would (proximity grouping over the worker peer
 /// set). Pure with respect to the simulation: no engine events, no flows,
 /// no overlay traffic. Fails (ok = false, human-readable `failure`) instead
 /// of throwing on mismatched traces or impossible placements.
 AnalyticReport plan_on(p2pdc::Environment& env, net::NodeIdx submitter_host,
-                       p2pdc::TaskSpec spec, const std::vector<TraceSummary>& summaries,
+                       p2pdc::TaskSpec spec, const std::vector<Trace>& traces,
                        const std::vector<net::NodeIdx>& worker_hosts);
 
 }  // namespace pdc::dperf

@@ -1,8 +1,11 @@
-// Compact per-iteration trace summaries: the input to the analytic planner
-// (dperf::plan_on). A dPerf trace is collapsed once into its pre-loop events
-// plus run-length-encoded iteration bodies — extrapolated traces, whose
-// steady chunks are literal copies, compress to a handful of blocks — and
-// its collective count, which the planner checks across ranks.
+// What the analytic planner (dperf::plan_on) reads of a rank's trace beyond
+// the events it walks: the allreduce count, which it checks across ranks,
+// and the send destinations of the steady iteration body, which price the
+// contended per-phase rates. The planner walks the trace itself, so a
+// summary copies no event. Iteration bodies are not worth run-length
+// encoding: each iteration's compute time is data-dependent, so at paper
+// sizing none of the 4 x 428 bodies of grid5000.scn and analytic.scn
+// equals its neighbour.
 #pragma once
 
 #include <cstdint>
@@ -12,31 +15,18 @@
 
 namespace pdc::dperf {
 
-/// One run of identical iteration bodies. `ops` holds the events of a single
-/// iteration with the IterMark stripped (marker ids differ per iteration and
-/// carry no cost, so dropping them is what makes bodies comparable).
-struct IterBlock {
-  std::vector<TraceEvent> ops;
-  std::uint64_t repeats = 1;
-};
-
 struct TraceSummary {
-  int rank = 0;
-  int nprocs = 1;
-  double host_hz = 3e9;
-
-  /// Events before the first iteration marker (setup, first sends).
-  std::vector<TraceEvent> pre;
-  /// RLE-compressed iteration bodies. Iteration i spans [marker_i,
-  /// marker_{i+1}); the final block additionally holds everything after the
-  /// last marker (the closing iteration plus post-loop events).
-  std::vector<IterBlock> blocks;
   /// Allreduce count over the whole trace.
   std::uint64_t collectives = 0;
+  /// Send destinations, in order, of the steady iteration body: the first
+  /// of the longest runs of identical consecutive iteration bodies. A body
+  /// spans the events after one iteration marker up to the next marker;
+  /// the last body runs to the end of the trace (post-loop events
+  /// included). Empty for a marker-free trace.
+  std::vector<int> steady_sends;
 };
 
-/// One pass over the trace; never fails (a marker-free trace summarizes to
-/// pre-only with no blocks).
+/// One pass over the trace; never fails.
 TraceSummary summarize_trace(const Trace& trace);
 
 }  // namespace pdc::dperf

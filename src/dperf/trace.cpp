@@ -85,6 +85,8 @@ Trace load_trace(const std::string& text) {
     TraceEvent e;
     if (kw == "compute") {
       e.kind = TraceEvent::Kind::Compute;
+      // Unsigned extraction wraps a leading minus sign instead of failing.
+      if ((ls >> std::ws).peek() == '-') throw fail("negative compute time '" + line + "'");
       ls >> e.ns;
     } else if (kw == "send") {
       e.kind = TraceEvent::Kind::Send;
@@ -108,6 +110,10 @@ Trace load_trace(const std::string& text) {
       throw fail("unknown record '" + kw + "'");
     }
     if (ls.fail()) throw fail("malformed record '" + line + "'");
+    std::string extra;
+    if (ls >> extra) throw fail("trailing tokens on record '" + line + "'");
+    if (e.kind == TraceEvent::Kind::Send && !(e.bytes >= 0))
+      throw fail("record '" + line + "' has a negative byte count");
     if ((e.kind == TraceEvent::Kind::Send || e.kind == TraceEvent::Kind::Recv) &&
         (e.peer < 0 || e.peer >= t.nprocs))
       throw fail("record '" + line + "' has peer " + std::to_string(e.peer) +

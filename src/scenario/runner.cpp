@@ -353,11 +353,10 @@ std::unique_ptr<Deployment> deploy(const PlatformSpec& spec, const RunSpec& run)
 namespace {
 
 using TraceSet = std::vector<dperf::Trace>;
-using Summaries = std::vector<dperf::TraceSummary>;
 
-/// The one workload key: every RunSpec field the dPerf traces (and their
-/// summaries) depend on — never the platform, so a campaign replaying one
-/// workload across a platform axis derives it once.
+/// The one workload key: every RunSpec field the dPerf traces depend on —
+/// never the platform, so a campaign replaying one workload across a
+/// platform axis derives it once.
 struct WorkloadKey {
   ir::OptLevel level;
   int rcheck, grid_n, iters, ranks;
@@ -378,20 +377,12 @@ struct CostKey {
 // The process-wide dPerf memos: derived once per key, shared by every
 // concurrent campaign run and serve request, and observable through
 // memo_stats() — the "hot across requests" working set. Derivation is
-// deterministic, so which caller derives can never change a result.
-// Summaries are a pure collapse of the memoized trace set, so a campaign
-// sweeping platforms or churn axes in mode=analytic summarizes one
-// workload once, then every grid point is just plan_on.
+// deterministic, so which caller derives can never change a result. The
+// analytic planner reads the memoized trace set itself, so a campaign
+// sweeping platforms or churn axes in mode=analytic derives one workload
+// once, then every grid point is just plan_on over the shared traces.
 support::Memo<CostKey, obstacle::CostProfile> cost_memo;
 support::Memo<WorkloadKey, TraceSet> trace_memo;
-support::Memo<WorkloadKey, Summaries> summary_memo;
-
-Summaries summarize(const TraceSet& traces) {
-  Summaries out;
-  out.reserve(traces.size());
-  for (const dperf::Trace& t : traces) out.push_back(dperf::summarize_trace(t));
-  return out;
-}
 
 std::shared_ptr<const TraceSet> shared_traces(const RunSpec& run) {
   return trace_memo.get(WorkloadKey(run), [&run] {
@@ -473,7 +464,7 @@ PhaseRecord predicted_phase(const ScenarioSpec& spec,
       });
 }
 
-PhaseRecord analytic_phase(const ScenarioSpec& spec, const Summaries& summaries) {
+PhaseRecord analytic_phase(const ScenarioSpec& spec, const TraceSet& traces) {
   // A deployment supplies the platform, the booted overlay (tracker lists
   // for the collection model) and the worker placement — but the planner
   // runs zero simulation on it: no events, no flows, no churn injection
@@ -488,7 +479,7 @@ PhaseRecord analytic_phase(const ScenarioSpec& spec, const Summaries& summaries)
         dperf::AnalyticReport rep =
             dperf::plan_on(*d.env, d.submitter,
                            obstacle::make_task_spec(config_of(run), run.rank_count()),
-                           summaries, d.workers);
+                           traces, d.workers);
         if (!rep.ok) return std::move(rep.failure);
         ph.solve_seconds = rep.solve_seconds;
         ph.total_seconds = rep.total_seconds;
@@ -557,7 +548,7 @@ PhaseRecord Runner::run_predicted(std::vector<dperf::Trace> traces) const {
 }
 
 PhaseRecord Runner::run_analytic(const std::vector<dperf::Trace>& traces) const {
-  return analytic_phase(spec_, summarize(traces));
+  return analytic_phase(spec_, traces);
 }
 
 RunRecord Runner::run_phases(const char*& phase) const {
@@ -618,8 +609,7 @@ RunRecord Runner::run_phases(const char*& phase) const {
   }
   if (plans) {
     phase = "analytic";
-    rec.analytic = analytic_phase(
-        spec_, *summary_memo.get(WorkloadKey(run), [&tr] { return summarize(*tr); }));
+    rec.analytic = analytic_phase(spec_, *tr);
   }
   if (recorder) {
     phase = "trace";

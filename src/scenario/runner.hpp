@@ -158,9 +158,9 @@ class Runner {
   /// Trace replay on this scenario's platform.
   PhaseRecord run_predicted(std::vector<dperf::Trace> traces) const;
 
-  /// Analytic plan on this scenario's platform: summaries of `traces` x
-  /// cost model, no engine replay (dperf::plan_on). run() plans the
-  /// workload's memoized summaries instead. Throws on planner failure.
+  /// Analytic plan of `traces` on this scenario's platform, no engine replay
+  /// (dperf::plan_on). run() plans the trace memo's shared entry. Throws on
+  /// planner failure.
   PhaseRecord run_analytic(const std::vector<dperf::Trace>& traces) const;
 
   /// Executes the phases `spec().run.mode` asks for and assembles the record.

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "dperf/summary.hpp"
 #include "scenario/runner.hpp"
@@ -159,7 +162,7 @@ TEST(Analytic, NewModesParseAndRender) {
 }
 
 // plan_on fails soft (ok = false, message) instead of throwing.
-TEST(Analytic, PlannerFailsSoftOnMismatchedSummaries) {
+TEST(Analytic, PlannerFailsSoftOnMismatchedTraces) {
   auto d = deploy(PlatformSpec::lan(), smoke_run(4));
   dperf::Trace a;
   a.rank = 0;
@@ -168,33 +171,31 @@ TEST(Analytic, PlannerFailsSoftOnMismatchedSummaries) {
   dperf::Trace b = a;
   b.rank = 1;
   b.events.clear();  // rank 1 never reaches the collective
-  const std::vector<dperf::TraceSummary> summaries = {dperf::summarize_trace(a),
-                                                      dperf::summarize_trace(b)};
   p2pdc::TaskSpec spec;
   spec.peers_needed = 2;
   const dperf::AnalyticReport rep =
-      dperf::plan_on(*d->env, d->submitter, spec, summaries, d->workers);
+      dperf::plan_on(*d->env, d->submitter, spec, {a, b}, d->workers);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.failure.find("collective"), std::string::npos) << rep.failure;
 }
 
 TEST(Analytic, PlannerFailsSoftOnTooFewWorkers) {
   auto d = deploy(PlatformSpec::lan(), smoke_run(2));
-  std::vector<dperf::TraceSummary> summaries(4);
+  std::vector<dperf::Trace> traces(4);
   for (int r = 0; r < 4; ++r) {
-    summaries[static_cast<std::size_t>(r)].rank = r;
-    summaries[static_cast<std::size_t>(r)].nprocs = 4;
+    traces[static_cast<std::size_t>(r)].rank = r;
+    traces[static_cast<std::size_t>(r)].nprocs = 4;
   }
   p2pdc::TaskSpec spec;
   spec.peers_needed = 4;
   const dperf::AnalyticReport rep =
-      dperf::plan_on(*d->env, d->submitter, spec, summaries, d->workers);
+      dperf::plan_on(*d->env, d->submitter, spec, traces, d->workers);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.failure.find("peers"), std::string::npos) << rep.failure;
 }
 
-// run_analytic plans the traces it is given. The Runner's own phases read
-// the workload's memoized summaries, but a caller's trace set must neither
+// run_analytic plans the traces it is given. The Runner's own phases plan
+// the workload's memoized trace set, but a caller's trace set must neither
 // be ignored in favour of that memo nor end up in it.
 TEST(Analytic, RunAnalyticPlansTheGivenTraces) {
   const auto slowed = [](std::vector<dperf::Trace> traces) {
@@ -209,7 +210,7 @@ TEST(Analytic, RunAnalyticPlansTheGivenTraces) {
   spec.run = smoke_run(4);
   spec.run.mode = Mode::Analytic;
 
-  // Planned through run() first: the memo holds this workload's summaries.
+  // Planned through run() first: the memo holds this workload's traces.
   const Runner planned{spec};
   const RunRecord rec = planned.run();
   ASSERT_TRUE(rec.analytic.has_value()) << rec.error;
@@ -229,38 +230,80 @@ TEST(Analytic, RunAnalyticPlansTheGivenTraces) {
             fresh.run_analytic(fresh.traces()).solve_seconds);
 }
 
-// The summary layer on its own: RLE compression of extrapolated traces.
-TEST(TraceSummary, CompressesRepeatedIterations) {
+// The summary layer on its own: the steady body is the first of the
+// longest runs of identical consecutive iteration bodies (markers stripped,
+// the last body running to the end of the trace).
+using K = dperf::TraceEvent::Kind;
+
+/// A trace whose iteration bodies are `bodies`: each body is one compute
+/// of the given ns followed by one send to each listed peer.
+dperf::Trace trace_of(const std::vector<std::pair<std::uint64_t, std::vector<int>>>& bodies) {
   dperf::Trace t;
-  t.rank = 0;
-  t.nprocs = 2;
-  t.host_hz = 2e9;
-  using K = dperf::TraceEvent::Kind;
-  t.events.push_back({K::Compute, 500});
-  for (int i = 0; i < 10; ++i) {
+  t.nprocs = 8;
+  t.events.push_back({K::Compute, 500});  // pre-loop setup
+  long long id = 0;
+  for (const auto& [ns, peers] : bodies) {
     dperf::TraceEvent mark{K::IterMark};
-    mark.iter_id = i;
+    mark.iter_id = id++;  // marker ids differ per iteration; bodies still match
     t.events.push_back(mark);
-    dperf::TraceEvent send{K::Send};
-    send.peer = 1;
-    send.bytes = 64;
-    send.tag = 7;
-    t.events.push_back(send);
-    t.events.push_back({K::Compute, 1000});
+    t.events.push_back({K::Compute, ns});
+    for (const int peer : peers) {
+      dperf::TraceEvent send{K::Send};
+      send.peer = peer;
+      send.bytes = 64;
+      t.events.push_back(send);
+    }
   }
-  const dperf::TraceSummary s = dperf::summarize_trace(t);
-  ASSERT_EQ(s.blocks.size(), 1u);  // identical bodies collapse to one block
-  EXPECT_EQ(s.blocks[0].repeats, 10u);
-  EXPECT_EQ(s.blocks[0].ops.size(), 2u);  // the IterMark is stripped
-  EXPECT_EQ(s.pre.size(), 1u);
+  return t;
 }
 
-TEST(TraceSummary, MarkerFreeTraceIsPreOnly) {
+TEST(TraceSummary, SteadyBodyIsTheLongestRun) {
+  // Bodies A, B, B, C: the run of two B's wins.
+  const dperf::TraceSummary s =
+      dperf::summarize_trace(trace_of({{10, {1}}, {20, {2, 3}}, {20, {2, 3}}, {30, {4}}}));
+  EXPECT_EQ(s.steady_sends, (std::vector<int>{2, 3}));
+}
+
+TEST(TraceSummary, AllDistinctBodiesPickTheFirst) {
+  const dperf::TraceSummary s =
+      dperf::summarize_trace(trace_of({{10, {1}}, {11, {2}}, {12, {3}}}));
+  EXPECT_EQ(s.steady_sends, (std::vector<int>{1}));
+}
+
+TEST(TraceSummary, TiePicksTheEarlierRun) {
+  const dperf::TraceSummary s = dperf::summarize_trace(
+      trace_of({{10, {1}}, {20, {2}}, {20, {2}}, {30, {3}}, {30, {3}}}));
+  EXPECT_EQ(s.steady_sends, (std::vector<int>{2}));
+}
+
+TEST(TraceSummary, PostLoopEventsBelongToTheLastBody) {
+  dperf::TraceEvent post{K::Send};
+  post.peer = 5;
+  // Bodies B, A, A + post-loop send: the trailing send breaks the run of
+  // A's, so every body is distinct and the first one wins.
+  dperf::Trace t = trace_of({{20, {2}}, {10, {1}}, {10, {1}}});
+  t.events.push_back(post);
+  t.events.push_back({K::Allreduce});
+  dperf::TraceSummary s = dperf::summarize_trace(t);
+  EXPECT_EQ(s.steady_sends, (std::vector<int>{2}));
+  EXPECT_EQ(s.collectives, 1u);
+  // A single body carries the post-loop send.
+  t = trace_of({{10, {1}}});
+  t.events.push_back(post);
+  s = dperf::summarize_trace(t);
+  EXPECT_EQ(s.steady_sends, (std::vector<int>{1, 5}));
+}
+
+TEST(TraceSummary, MarkerFreeTraceHasNoSteadySends) {
   dperf::Trace t;
-  t.events.push_back({dperf::TraceEvent::Kind::Compute, 42});
+  t.nprocs = 2;
+  dperf::TraceEvent send{K::Send};
+  send.peer = 1;
+  t.events.push_back(send);
+  t.events.push_back({K::Allreduce});
   const dperf::TraceSummary s = dperf::summarize_trace(t);
-  EXPECT_TRUE(s.blocks.empty());
-  EXPECT_EQ(s.pre.size(), 1u);
+  EXPECT_TRUE(s.steady_sends.empty());
+  EXPECT_EQ(s.collectives, 1u);
 }
 
 }  // namespace

@@ -152,6 +152,37 @@ TEST(CampaignExecutor, ShippedSmokeCampaignRunsThenResumesEverything) {
             "metric,n,mean,stddev,min,max,p50,p95,ci95_half");
 }
 
+TEST(CampaignExecutor, ShippedAnalyticAccuracyCampaignRunsThenResumes) {
+  // examples/campaigns/analytic_accuracy.cmp at quick sizing on two
+  // workers: every churn point runs both-analytic and aggregates the
+  // plan-vs-replay gap next to the replay's churn counters, and a second
+  // session over the same directory resumes every record.
+  std::ifstream in(std::string(PDC_TEST_DATA_DIR) +
+                   "/../examples/campaigns/analytic_accuracy.cmp");
+  ASSERT_TRUE(in);
+  std::stringstream text;
+  text << in.rdbuf();
+  scenario::RunSpec quick;
+  quick.grid_n = 258;
+  quick.iters = 100;
+  const CampaignSpec spec = parse_campaign(text.str(), quick);
+  ScratchDir dir{"analytic_accuracy"};
+  ExecutorOptions opts;
+  opts.jobs = 2;
+  opts.out_dir = dir.path.string();
+  const CampaignReport first = Executor{spec, opts}.execute();
+  EXPECT_EQ(first.total, 6u);
+  EXPECT_EQ(first.executed, 6u);
+  EXPECT_EQ(first.errors, 0u);
+  EXPECT_EQ(first.points.size(), 6u);
+  for (const PointReport& p : first.points)
+    EXPECT_TRUE(p.metrics.count("analytic_error")) << p.key;
+  const CampaignReport second = Executor{spec, opts}.execute();
+  EXPECT_EQ(second.executed, 0u);
+  EXPECT_EQ(second.skipped, 6u);
+  EXPECT_EQ(second.errors, 0u);
+}
+
 TEST(CampaignExecutor, AnalyticCampaignDerivesNoCostProfile) {
   // Analytic plans never read a block-benchmark cost profile, so running
   // them must not derive one; the bench sizing is unique to this test, so

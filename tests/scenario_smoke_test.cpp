@@ -1,7 +1,9 @@
 // Every shipped scenario file runs clean at quick sizing (grid 258, iters
 // 100): no record error, and every executed phase dispatched events with all
 // of its closures on the engine's allocation-free inline path. The analytic
-// phase plans without an engine, so only reference and predicted count.
+// phase plans without an engine, so only reference and predicted count; a
+// record that measures the plan against the replay (`analytic_error`) must
+// keep it within the analytic contract's 10% bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,6 +48,7 @@ TEST(ScenarioSmoke, EveryShippedScenarioRunsClean) {
       EXPECT_EQ(engine.at("closures_heap").as_double(), 0) << phase;
     }
     EXPECT_GT(executed, 0) << "record has no executed phase";
+    if (doc.has("analytic_error")) EXPECT_LT(doc.at("analytic_error").as_double(), 0.10);
   }
 }
 

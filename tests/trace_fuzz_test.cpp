@@ -109,6 +109,11 @@ TEST(TraceFuzz, RejectsMalformedDocuments) {
       "dperf-trace v1\nproc 0 of 2 hz 1e9\nrecv -1 tag 1\nend\n",
       "dperf-trace v1\nproc 0 of 1 hz 1e9\nrecv 0 label 1\nend\n",
       "dperf-trace v1\nproc 0 of 1 hz 1e9\niter x\nend\n",
+      "dperf-trace v1\nproc 0 of 1 hz 1e9\ncompute -5\nend\n",          // negative ns
+      "dperf-trace v1\nproc 0 of 2 hz 1e9\nsend 1 -64 tag 1\nend\n",    // negative bytes
+      "dperf-trace v1\nproc 0 of 1 hz 1e9\ncompute 5 junk\nend\n",      // trailing token
+      "dperf-trace v1\nproc 0 of 1 hz 1e9\nallreduce 7\nend\n",
+      "dperf-trace v1\nproc 0 of 2 hz 1e9\nrecv 1 tag 1 2\nend\n",
   };
   for (const char* doc : corpus) {
     try {
