@@ -10,51 +10,19 @@
 //   PDC_UPDATE_GOLDEN=1 ./build/tests/golden_record_test
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 
 #include "campaign/executor.hpp"
 #include "dperf/dperf.hpp"
+#include "golden_file.hpp"
 #include "obstacle/minic_kernel.hpp"
 #include "scenario/runner.hpp"
-#include "support/env.hpp"
 #include "support/json.hpp"
 
 namespace pdc {
 namespace {
-
-std::string golden_path(const char* name) {
-  return std::string(PDC_TEST_DATA_DIR) + "/golden/" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-void check_against_golden(const std::string& produced, const char* name) {
-  const std::string path = golden_path(name);
-  if (env_flag("PDC_UPDATE_GOLDEN")) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << produced;
-    GTEST_SKIP() << "golden updated: " << path;
-  }
-  const std::string expected = read_file(path);
-  ASSERT_FALSE(expected.empty()) << "missing golden file " << path
-                                 << " (run with PDC_UPDATE_GOLDEN=1 to create it)";
-  EXPECT_EQ(produced, expected) << "serialized " << name
-                                << " drifted from the committed golden; if the schema "
-                                   "change is intentional, regenerate with "
-                                   "PDC_UPDATE_GOLDEN=1 and review the diff";
-}
 
 /// A fully populated, hand-fixed RunRecord: no simulation, so the bytes are
 /// the same on every machine and toolchain.
@@ -245,16 +213,6 @@ TEST(GoldenRecord, CampaignReportReadsBackLosslessly) {
   EXPECT_TRUE(point.at("metrics").has("reference_churn_attempts"));
 }
 
-/// FNV-1a 64 over `bytes`.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // The dPerf front end at quick sizing (grid 258, iters 100, rcheck 4): one
 // line per opt level x rank count with the event count, the compute ns and
 // a digest of every rank's `save_trace` text, then one line per level of
@@ -273,21 +231,9 @@ TEST(GoldenRecord, DperfTracesAndBlockTimingsAreByteStable) {
       run.iters = 100;
       run.level = level;
       run.peers = ranks;
-      const std::vector<dperf::Trace> traces =
-          scenario::Runner{{"golden", scenario::PlatformSpec::lan(), run}}.traces();
-      std::string bytes;
-      std::uint64_t events = 0, compute_ns = 0;
-      for (const dperf::Trace& t : traces) {
-        bytes += dperf::save_trace(t);
-        events += t.events.size();
-        compute_ns += t.total_compute_ns();
-      }
-      std::snprintf(line, sizeof line,
-                    "trace %s ranks=%d events=%llu compute_ns=%llu fnv=%016llx\n",
-                    ir::opt_level_name(level), ranks, static_cast<unsigned long long>(events),
-                    static_cast<unsigned long long>(compute_ns),
-                    static_cast<unsigned long long>(fnv1a(bytes)));
-      text += line;
+      text += trace_digest_line(
+          level, ranks,
+          scenario::Runner{{"golden", scenario::PlatformSpec::lan(), run}}.traces());
     }
   }
   for (const ir::OptLevel level : levels) {
