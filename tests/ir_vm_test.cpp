@@ -2,6 +2,9 @@
 // O0..O3/Os pipelines and the cycle/vPAPI accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "ir/ast_opt.hpp"
 #include "ir/pipeline.hpp"
 #include "minic/parser.hpp"
@@ -108,6 +111,108 @@ TEST(Vm, CycleLimitStopsRunaways) {
   vm::Vm m{prog};
   m.set_cycle_limit(1e6);
   EXPECT_THROW(m.run_main(), vm::TrapError);
+}
+
+// Exercises every point where something can read cycles(): the comm hooks,
+// the iteration marker, block timers, allocation, builtin and user calls.
+const char* kObservedProgram = R"(
+int twice(int x) { return x + x; }
+int main() {
+  int me = p2p_rank();
+  int n = p2p_param(0);
+  double a[n];
+  double acc = 0.0;
+  for (int it = 0; it < 3; it = it + 1) {
+    dperf_iter_mark(0);
+    dperf_block_begin(1);
+    for (int i = 0; i < n; i = i + 1) { a[i] = a[i] + sqrt(1.0 * i) + twice(i); }
+    dperf_block_end(1);
+    p2p_send(me + 1, 1, a, 0, n);
+    p2p_recv(me + 1, 2, a, 1, 2);
+    acc = p2p_allreduce_max(acc + a[1]);
+  }
+  if (acc > 0.0) { return 1; }
+  return 0;
+}
+)";
+
+/// Records cycles() at every send, recv, allreduce and iteration mark.
+struct CycleObserver : vm::CommHooks {
+  long long param(int) override { return 7; }  // 7 doubles: a quarter-cycle alloc cost
+  std::vector<double> seen;
+  void send(int, int, vm::ArrayObj&, long long, long long) override {
+    seen.push_back(vm_->cycles());
+  }
+  void recv(int, int, vm::ArrayObj&, long long, long long) override {
+    seen.push_back(vm_->cycles());
+  }
+  double allreduce_max(double v) override {
+    seen.push_back(vm_->cycles());
+    return v;
+  }
+  void iter_mark(long long) override { seen.push_back(vm_->cycles()); }
+};
+
+// The cycle counts every observer sees, pinned to the values of the
+// one-instruction-at-a-time interpreter: any faster dispatch must charge
+// exactly what had been executed at each observation point.
+TEST(Vm, CycleAccountingAtObservationPoints) {
+  struct Expected {
+    OptLevel level;
+    std::vector<double> seen;
+    double cycles;
+    std::uint64_t instructions;
+    double block_cycles;
+  };
+  const Expected cases[] = {
+      {OptLevel::O0,
+       {162.75, 1565.75, 1990.75, 2414.75, 2435.75, 3838.75, 4263.75, 4687.75, 4708.75,
+        6111.75, 6536.75, 6960.75},
+       6990.75, 727, 2808},
+      {OptLevel::O3,
+       {153.75, 1266.75, 1683.75, 2103.75, 2112.75, 3225.75, 3642.75, 4062.75, 4071.75,
+        5184.75, 5601.75, 6021.75},
+       6036.75, 399, 1968},
+  };
+  for (const Expected& want : cases) {
+    SCOPED_TRACE(ir::opt_level_name(want.level));
+    const ir::IrProgram prog = ir::compile_source(kObservedProgram, want.level);
+    vm::Vm m{prog};
+    CycleObserver obs;
+    m.set_hooks(&obs);
+    EXPECT_EQ(m.run_main(), 1);
+    EXPECT_EQ(obs.seen, want.seen);
+    EXPECT_EQ(m.cycles(), want.cycles);
+    EXPECT_EQ(m.papi().instructions, want.instructions);
+    EXPECT_EQ(m.papi().blocks.at(1).executions, 3u);
+    EXPECT_EQ(m.papi().blocks.at(1).cycles, want.block_cycles);
+  }
+}
+
+TEST(Vm, CycleLimitTrapsExactlyAboveTheTotal) {
+  for (const OptLevel level : {OptLevel::O0, OptLevel::O3}) {
+    SCOPED_TRACE(ir::opt_level_name(level));
+    const ir::IrProgram prog = ir::compile_source(kObservedProgram, level);
+    double total = 0;
+    {
+      vm::Vm m{prog};
+      CycleObserver obs;
+      m.set_hooks(&obs);
+      m.run_main();
+      total = m.cycles();
+    }
+    vm::Vm at_total{prog};
+    CycleObserver obs;
+    at_total.set_hooks(&obs);
+    at_total.set_cycle_limit(total);
+    EXPECT_EQ(at_total.run_main(), 1);
+    EXPECT_EQ(at_total.cycles(), total);
+
+    vm::Vm below{prog};
+    below.set_hooks(&obs);
+    below.set_cycle_limit(total - 0.25);
+    EXPECT_THROW(below.run_main(), vm::TrapError);
+  }
 }
 
 TEST(Vm, CommHooksReceiveCalls) {
