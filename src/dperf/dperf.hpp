@@ -6,6 +6,10 @@
 //   (block benchmarking / trace recording in the VM, vPAPI timers) ->
 //   traces for each process -> trace-based network simulation on a
 //   platform description -> predicted time.
+//
+// A Dperf's optimization level is fixed, so its constructor also compiles
+// the instrumented program once, at that level; block benchmarking and
+// every rank's trace run that one IrProgram in a fresh VM.
 #pragma once
 
 #include <memory>
@@ -31,13 +35,15 @@ struct DperfOptions {
 class Dperf {
  public:
   /// Parses, checks and instruments `source`; the instrumented AST is
-  /// unparsed to text and re-parsed (round trip through source code).
-  /// Throws minic::CompileError on invalid input.
+  /// unparsed to text and re-parsed (round trip through source code), then
+  /// compiled at `options.level`. Throws minic::CompileError on invalid input.
   Dperf(const std::string& source, DperfOptions options);
 
   const DperfOptions& options() const { return options_; }
   const std::string& instrumented_source() const { return instrumented_source_; }
   const InstrumentedProgram& instrumented() const { return inst_; }
+  /// The instrumented program compiled at options().level.
+  const ir::IrProgram& program() const { return program_; }
 
   /// Block benchmarking at the configured optimization level.
   BlockTimings benchmark(const Workload& workload, int rank = 0, int nprocs = 1) const;
@@ -54,6 +60,7 @@ class Dperf {
   DperfOptions options_;
   InstrumentedProgram inst_;
   std::string instrumented_source_;
+  ir::IrProgram program_;
 };
 
 /// Result of a trace-based replay on a P2PDC deployment.

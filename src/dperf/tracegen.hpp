@@ -1,11 +1,13 @@
-// Trace generation: runs the instrumented program in the VM per rank,
-// recording computation segments (cycle deltas converted to ns at the
-// reference host frequency) and communication calls.
+// Trace generation: runs the compiled instrumented program in the VM per
+// rank, recording computation segments (cycle deltas converted to ns at the
+// reference host frequency) and communication calls. Both entry points take
+// an already compiled program, so a caller that traces many ranks (or
+// benchmarks and traces) compiles once; dperf::Dperf does exactly that.
 #pragma once
 
 #include "dperf/blocks.hpp"
 #include "dperf/trace.hpp"
-#include "ir/pipeline.hpp"
+#include "ir/ir.hpp"
 #include "vm/vm.hpp"
 
 namespace pdc::dperf {
@@ -39,15 +41,15 @@ struct BlockTimings {
   double per_iteration_ns() const;
 };
 
-/// Executes the instrumented program at `level` with no-op communication and
-/// returns the vPAPI block statistics.
-BlockTimings benchmark_blocks(const InstrumentedProgram& inst, ir::OptLevel level,
+/// Executes the compiled instrumented program with no-op communication and
+/// returns the vPAPI statistics of each of its `blocks`.
+BlockTimings benchmark_blocks(const ir::IrProgram& program, const std::vector<BlockInfo>& blocks,
                               const Workload& workload, double host_hz, int rank = 0,
                               int nprocs = 1);
 
-/// Executes the instrumented program for one rank and records its trace.
-/// Computation times are expressed at `host_hz`.
-Trace generate_trace(const InstrumentedProgram& inst, ir::OptLevel level,
-                     const Workload& workload, int rank, int nprocs, double host_hz);
+/// Executes the compiled instrumented program for one rank and records its
+/// trace. Computation times are expressed at `host_hz`.
+Trace generate_trace(const ir::IrProgram& program, const Workload& workload, int rank,
+                     int nprocs, double host_hz);
 
 }  // namespace pdc::dperf

@@ -1,9 +1,13 @@
 // Churn end-to-end: scenarios complete (or record structured errors) under
 // scheduled peer/tracker/link faults, both phases replay the identical event
 // stream, and a campaign sweeping churn rate is bit-for-bit deterministic
-// across -j levels.
+// across -j levels. The shipped churn scenario and churn-rate sweep run at
+// quick sizing, as `pdc_scenario --check` and `pdc_campaign --check` would.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "campaign/executor.hpp"
@@ -13,6 +17,21 @@
 
 namespace pdc::scenario {
 namespace {
+
+std::string read_example(const std::string& relative) {
+  std::ifstream in(std::string(PDC_TEST_DATA_DIR) + "/../examples/" + relative);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The PDC_QUICK sizing the shipped examples are smoke-run at.
+RunSpec quick_base() {
+  RunSpec run;
+  run.grid_n = 258;
+  run.iters = 100;
+  return run;
+}
 
 /// Small-but-real sizing (same as scenario_runner_test): a few seconds of
 /// simulated work, well under a second of wall clock.
@@ -110,6 +129,29 @@ TEST(ChurnRunner, RecordJsonCarriesChurnBlock) {
   EXPECT_NE(doc.at("spec").as_string().find("churn event degrade"), std::string::npos);
 }
 
+// examples/scenarios/churn_smoke.scn at two seeds: the primary tracker
+// crash must produce observed zone failovers and the mid-run peer crash a
+// re-allocation that still completes, in both phases.
+TEST(ChurnSmoke, ShippedScenarioFailsOverAndReallocatesAtTwoSeeds) {
+  const std::string text = read_example("scenarios/churn_smoke.scn");
+  ASSERT_NE(text.find("\nseed 42\n"), std::string::npos);
+  for (const char* seed : {"42", "43"}) {
+    SCOPED_TRACE(std::string("seed ") + seed);
+    std::string seeded = text;
+    seeded.replace(seeded.find("\nseed 42\n"), 9, std::string("\nseed ") + seed + "\n");
+    const JsonValue doc =
+        parse_json(Runner{parse_scenario(seeded, quick_base())}.try_run().to_json());
+    ASSERT_FALSE(doc.has("error")) << doc.at("error").as_string();
+    for (const char* phase : {"reference", "predicted"}) {
+      SCOPED_TRACE(phase);
+      const JsonValue& churn = doc.at(phase).at("churn");
+      EXPECT_GT(churn.at("rejoins").as_double(), 0);
+      EXPECT_GE(churn.at("attempts").as_double(), 2);
+      EXPECT_EQ(churn.at("tracker_crashes").as_double(), 1);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pdc::scenario
 
@@ -169,6 +211,35 @@ TEST(ChurnCampaign, ChurnRateSweepIsDeterministicAcrossJobs) {
       EXPECT_TRUE(out.ok()) << out.run.key << ": " << out.error;
   EXPECT_EQ(r1.points.size(), r4.points.size());
   EXPECT_EQ(r1.points.size(), 6u);
+}
+
+// examples/campaigns/churn_sweep.cmp at quick sizing on four workers: 3
+// rates x 2 stream seeds, every run executed without error and every
+// persisted record valid JSON.
+TEST(ChurnSmoke, ShippedChurnSweepRunsSixRunsWithoutErrors) {
+  namespace fs = std::filesystem;
+  const CampaignSpec spec =
+      parse_campaign(scenario::read_example("campaigns/churn_sweep.cmp"), scenario::quick_base());
+  const fs::path dir = fs::path("churn_smoke_out");
+  fs::remove_all(dir);
+  ExecutorOptions opts;
+  opts.jobs = 4;
+  opts.out_dir = dir.string();
+  const CampaignReport report = Executor{spec, opts}.execute();
+  EXPECT_EQ(report.total, 6u);
+  EXPECT_EQ(report.executed, 6u);
+  EXPECT_EQ(report.skipped, 0u);
+  EXPECT_EQ(report.errors, 0u);
+  std::size_t records = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir / "runs")) {
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_NO_THROW(parse_json(text.str())) << entry.path();
+    ++records;
+  }
+  EXPECT_EQ(records, 6u);
+  fs::remove_all(dir);
 }
 
 }  // namespace

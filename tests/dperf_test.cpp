@@ -205,14 +205,14 @@ TEST(TraceGen, KernelTraceHasExpectedShape) {
   const Dperf pipeline{obstacle::minic_kernel_source(), opt};
   const Workload w = obstacle::kernel_workload(p, /*iters=*/12, /*rcheck=*/3);
   // Rank 0 of 3 talks only to rank 1: one send + one recv per iteration.
-  const Trace t = generate_trace(pipeline.instrumented(), opt.level, w, 0, 3, 3e9);
+  const Trace t = generate_trace(pipeline.program(), w, 0, 3, 3e9);
   EXPECT_EQ(t.count(TraceEvent::Kind::IterMark), 12u);
   EXPECT_EQ(t.count(TraceEvent::Kind::Send), 12u);
   EXPECT_EQ(t.count(TraceEvent::Kind::Recv), 12u);
   EXPECT_EQ(t.count(TraceEvent::Kind::Allreduce), 4u);  // every 3rd iteration
   EXPECT_GT(t.total_compute_ns(), 0u);
   // A middle rank exchanges with both sides.
-  const Trace mid = generate_trace(pipeline.instrumented(), opt.level, w, 1, 3, 3e9);
+  const Trace mid = generate_trace(pipeline.program(), w, 1, 3, 3e9);
   EXPECT_EQ(mid.count(TraceEvent::Kind::Send), 24u);
   EXPECT_EQ(mid.count(TraceEvent::Kind::Recv), 24u);
   // Ghost rows are n doubles.
@@ -230,7 +230,7 @@ TEST(TraceGen, ScaledUpTraceMatchesFullRunClosely) {
   const Dperf pipeline{obstacle::minic_kernel_source(), opt};
   const Workload full = obstacle::kernel_workload(p, /*iters=*/60, /*rcheck=*/5);
 
-  const Trace direct = generate_trace(pipeline.instrumented(), opt.level, full, 0, 2, 3e9);
+  const Trace direct = generate_trace(pipeline.program(), full, 0, 2, 3e9);
   const Trace scaled = pipeline.trace_for_rank(full, 0, 2);
   // Identical communication structure...
   EXPECT_EQ(scaled.count(TraceEvent::Kind::Send), direct.count(TraceEvent::Kind::Send));

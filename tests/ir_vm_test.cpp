@@ -2,6 +2,7 @@
 // O0..O3/Os pipelines and the cycle/vPAPI accounting.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -272,6 +273,23 @@ int main() {
 
 TEST(Vm, MismatchedBlockEndTraps) {
   EXPECT_THROW(run_int("int main() { dperf_block_end(3); return 0; }"), vm::TrapError);
+}
+
+// The VM charges each straight-line run pre-summed; that gives the same
+// bits as charging one instruction at a time only because every default
+// cost is a multiple of 0.25 (quarter-cycle sums are exact doubles).
+TEST(CostModel, DefaultCostsAreQuarterCycles) {
+  const vm::CostModel m = vm::CostModel::default_model();
+  auto quarter = [](double c) { return c >= 0 && std::floor(c * 4) == c * 4; };
+  for (int op = 0; op <= static_cast<int>(ir::Op::IterMark); ++op)
+    EXPECT_TRUE(quarter(m.op_cost(static_cast<ir::Op>(op))))
+        << ir::op_name(static_cast<ir::Op>(op));
+  for (std::size_t b = 0; b < vm::kBuiltinCount; ++b)
+    EXPECT_TRUE(quarter(m.builtin_cost(static_cast<vm::Builtin>(b)))) << "builtin " << b;
+  EXPECT_TRUE(quarter(m.call_overhead));
+  EXPECT_TRUE(quarter(m.per_arg_cost));
+  EXPECT_TRUE(quarter(m.alloc_base));
+  EXPECT_TRUE(quarter(m.alloc_per_elem));
 }
 
 TEST(Vm, CyclesScaleWithWork) {
