@@ -24,7 +24,7 @@ int main() {
     dperf::DperfOptions opt;
     opt.level = lvl;
     const dperf::Dperf pipeline{obstacle::minic_kernel_source(), opt};
-    const ir::IrProgram prog = ir::compile(pipeline.instrumented().program, lvl);
+    const ir::IrProgram& prog = pipeline.program();
 
     vm::Vm m{prog};
     struct Hooks : vm::CommHooks {

@@ -18,7 +18,8 @@
 // BENCH_engine) and the best rate per size is kept; bytes are taken from
 // the first rep — deployment is deterministic. Emits BENCH_scale.json
 // (argv[1] redirects). --budget-bytes-per-peer=N exits nonzero when any
-// row exceeds the budget; CI's scale-smoke job pins the committed budget.
+// row exceeds the budget; the bench_micro_scale_budget ctest entry pins the
+// committed budget.
 #include <malloc.h>
 
 #include <chrono>

@@ -288,7 +288,6 @@ CampaignReport Executor::merge(const std::vector<std::string>& input_dirs) {
 
   outcomes_.clear();
   outcomes_.resize(runs_.size());
-  std::size_t loaded = 0;
   for (std::size_t i = 0; i < runs_.size(); ++i) {
     Outcome& out = outcomes_[i];
     out.run = runs_[i];
@@ -315,9 +314,7 @@ CampaignReport Executor::merge(const std::vector<std::string>& input_dirs) {
       write_file_atomic(fs::path(opts_.out_dir) / "runs" / (runs_[i].key + ".json"),
                         out.record_json);
     }
-    if (found && out.ok()) ++loaded;
   }
-  (void)loaded;
 
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

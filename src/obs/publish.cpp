@@ -6,8 +6,8 @@
 #include "net/platform.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/runner.hpp"
-#include "serve/cache.hpp"
 #include "sim/engine.hpp"
+#include "support/memo.hpp"
 
 namespace pdc::obs {
 
@@ -56,7 +56,7 @@ void publish_engine(Registry& reg, const sim::EngineStats& s) {
       .set(s.events_dispatched);
   reg.counter("engine", "closures_inline", "closures within the inline buffer")
       .set(s.closures_inline);
-  reg.counter("engine", "closures_heap", "closures spilled to the slab pool")
+  reg.counter("engine", "closures_heap", "closures spilled to the heap")
       .set(s.closures_heap);
   reg.counter("engine", "resumes", "raw coroutine resumes").set(s.resumes);
   reg.counter("engine", "slot_arms", "timer-slot arms").set(s.slot_arms);
@@ -95,7 +95,7 @@ void publish_memos(Registry& reg, const scenario::MemoStats& s) {
   reg.gauge("memos", "trace_bytes", "dPerf trace footprint").set(u(s.trace_bytes));
 }
 
-void publish_cache(Registry& reg, const serve::CacheStats& s) {
+void publish_cache(Registry& reg, const support::MemoStats& s) {
   reg.counter("cache", "hits", "memo cache hits").set(s.hits);
   reg.counter("cache", "misses", "memo cache misses").set(s.misses);
   reg.counter("cache", "evictions", "memo cache evictions").set(s.evictions);

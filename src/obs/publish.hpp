@@ -12,8 +12,8 @@ struct RouteStats;
 namespace pdc::sim {
 struct EngineStats;
 }
-namespace pdc::serve {
-struct CacheStats;
+namespace pdc::support {
+struct MemoStats;
 }
 namespace pdc::scenario {
 struct MemoStats;
@@ -40,6 +40,6 @@ void publish_churn(Registry& reg, const scenario::ChurnPhaseRecord& c);
 void publish_memos(Registry& reg, const scenario::MemoStats& s);
 
 /// Group "cache": the serve layer's RunRecord memo cache.
-void publish_cache(Registry& reg, const serve::CacheStats& s);
+void publish_cache(Registry& reg, const support::MemoStats& s);
 
 }  // namespace pdc::obs

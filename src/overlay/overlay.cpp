@@ -178,8 +178,9 @@ void Overlay::send_ctrl(NodeIdx from, NodeIdx to, CtrlMsg msg) {
   // The moved-from CtrlMsg capture is the largest closure the hot control
   // plane schedules; it must keep fitting the event kernel's inline buffer
   // (EventFn::kInlineSize was sized for exactly this) or every control
-  // message would silently fall back to the slab. A variant alternative
-  // growing past the budget should carry its payload behind a pointer.
+  // message would silently fall back to a heap allocation. A variant
+  // alternative growing past the budget should carry its payload behind a
+  // pointer.
   static_assert(sizeof(CtrlMsg) + sizeof(void*) + sizeof(NodeIdx) <=
                 sim::EventFn::kInlineSize);
   if (from == to) {

@@ -381,8 +381,15 @@ struct CostKey {
 // analytic planner reads the memoized trace set itself, so a campaign
 // sweeping platforms or churn axes in mode=analytic derives one workload
 // once, then every grid point is just plan_on over the shared traces.
-support::Memo<CostKey, obstacle::CostProfile> cost_memo;
-support::Memo<WorkloadKey, TraceSet> trace_memo;
+// Both are unbounded; each entry is charged its footprint for memo_stats().
+support::Memo<CostKey, obstacle::CostProfile> cost_memo{
+    [](const CostKey&, const obstacle::CostProfile&) { return sizeof(obstacle::CostProfile); }};
+support::Memo<WorkloadKey, TraceSet> trace_memo{[](const WorkloadKey&, const TraceSet& set) {
+  std::size_t bytes = 0;
+  for (const dperf::Trace& t : set)
+    bytes += sizeof(dperf::Trace) + t.events.capacity() * sizeof(dperf::TraceEvent);
+  return bytes;
+}};
 
 std::shared_ptr<const TraceSet> shared_traces(const RunSpec& run) {
   return trace_memo.get(WorkloadKey(run), [&run] {
@@ -499,7 +506,7 @@ PhaseRecord analytic_phase(const ScenarioSpec& spec, const TraceSet& traces) {
 }  // namespace
 
 const obstacle::CostProfile& cost_profile(ir::OptLevel level, const RunSpec& run) {
-  // Memo entries are never evicted, so the reference outlives the call.
+  // cost_memo is unbounded, so the entry (and the reference) outlives the call.
   const CostKey key{level, run.bench_n, run.bench_iters, run.bench_rcheck};
   return *cost_memo.get(key, [&] {
     return obstacle::derive_cost_profile(level, bench_problem_of(run), run.bench_iters,
@@ -508,15 +515,9 @@ const obstacle::CostProfile& cost_profile(ir::OptLevel level, const RunSpec& run
 }
 
 MemoStats memo_stats() {
-  MemoStats s;
-  s.cost_profiles = cost_memo.values().size();
-  s.cost_profile_bytes = s.cost_profiles * sizeof(obstacle::CostProfile);
-  const auto trace_sets = trace_memo.values();
-  s.trace_sets = trace_sets.size();
-  for (const auto& traces : trace_sets)
-    for (const dperf::Trace& t : *traces)
-      s.trace_bytes += sizeof(dperf::Trace) + t.events.capacity() * sizeof(dperf::TraceEvent);
-  return s;
+  const support::MemoStats cost = cost_memo.stats();
+  const support::MemoStats traces = trace_memo.stats();
+  return MemoStats{cost.entries, cost.bytes, traces.entries, traces.bytes};
 }
 
 std::unique_ptr<Deployment> Runner::deploy() const {

@@ -18,6 +18,7 @@
 #include "campaign/executor.hpp"
 #include "campaign/spec.hpp"
 #include "scenario/runner.hpp"
+#include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/thread_pool.hpp"
@@ -51,11 +52,36 @@ bool read_file(const fs::path& path, std::string& out) {
   return true;
 }
 
+/// ServerOptions::cache_bytes, or for SIZE_MAX the PDC_SERVE_CACHE_BYTES
+/// knob (default 64 MiB). A non-positive knob disables caching outright
+/// (every request simulates), the honest reading of "no cache budget".
+std::size_t cache_budget(std::size_t option) {
+  if (option != static_cast<std::size_t>(-1)) return option;
+  const int v = env_int("PDC_SERVE_CACHE_BYTES", 64 << 20);
+  return v > 0 ? static_cast<std::size_t>(v) : 0;
+}
+
+/// A failed run's record JSON, thrown out of the cache's derivation so that
+/// every waiter is answered with it and the cache keeps nothing.
+struct FailedRun {
+  std::string body;
+};
+
 }  // namespace
+
+/// One scenario's answer from the response cache.
+struct Server::Answer {
+  std::string body;  // RunRecord JSON
+  bool hit;          // this caller ran no simulation
+  bool ok;           // the record carries no error
+};
 
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)),
-      cache_(opts_.cache_bytes),
+      cache_([](const std::string& key, const std::string& body) {
+               return key.size() + body.size();
+             },
+             cache_budget(opts_.cache_bytes)),
       start_(std::chrono::steady_clock::now()) {
   if (opts_.unix_path.empty() && opts_.tcp_port < 0 && opts_.spool_dir.empty())
     throw std::invalid_argument(
@@ -85,7 +111,7 @@ bool Server::stopping() const {
 }
 
 ServeStats Server::stats() const {
-  return collector_.snapshot(cache_, elapsed_since(start_));
+  return collector_.snapshot(cache_.stats(), elapsed_since(start_));
 }
 
 void Server::run() {
@@ -220,19 +246,27 @@ Response Server::run_scenario(const std::string& text) {
     collector_.count_error();
     return Response{false, "", e.what()};
   }
-  const std::string key = "scn:" + scenario::render_scenario(spec);
-  if (std::optional<std::string> memo = cache_.get(key)) {
-    collector_.record_latency(true, elapsed_since(t0));
-    return Response{true, "hit", std::move(*memo)};
+  Answer a = answer(std::move(spec));
+  if (!a.ok) collector_.count_error();
+  collector_.record_latency(a.hit, elapsed_since(t0));
+  return Response{true, a.hit ? "hit" : "miss", std::move(a.body)};
+}
+
+Server::Answer Server::answer(scenario::ScenarioSpec spec) {
+  // Overlapping identical requests share one derivation; its caller is the
+  // miss, the rest are hits that waited for it.
+  bool derived = false;
+  try {
+    const auto body = cache_.get("scn:" + scenario::render_scenario(spec), [&] {
+      derived = true;
+      const scenario::RunRecord record = scenario::Runner{std::move(spec)}.try_run();
+      if (!record.ok()) throw FailedRun{record.to_json()};
+      return record.to_json();
+    });
+    return Answer{*body, !derived, true};
+  } catch (const FailedRun& failed) {  // shared by every waiter: copy, never move
+    return Answer{failed.body, !derived, false};
   }
-  const scenario::RunRecord record = scenario::Runner{std::move(spec)}.try_run();
-  std::string body = record.to_json();
-  if (record.ok())
-    cache_.put(key, body);
-  else
-    collector_.count_error();  // failed runs are served but never cached
-  collector_.record_latency(false, elapsed_since(t0));
-  return Response{true, "miss", std::move(body)};
 }
 
 Response Server::run_campaign(const std::string& text) {
@@ -244,7 +278,7 @@ Response Server::run_campaign(const std::string& text) {
     collector_.count_error();
     return Response{false, "", e.what()};
   }
-  // Every cell goes through the same scenario memo cache a RUN scn request
+  // Every cell goes through the same response cache a RUN scn request
   // uses, so a campaign warms the cache for later one-off queries (and vice
   // versa). Cells run sequentially in this worker; concurrency lives across
   // requests.
@@ -254,18 +288,10 @@ Response Server::run_campaign(const std::string& text) {
   for (const campaign::CampaignRun& run : campaign::expand(spec)) {
     campaign::Outcome out;
     out.run = run;
-    const std::string key = "scn:" + scenario::render_scenario(run.spec);
-    std::string body;
-    if (std::optional<std::string> memo = cache_.get(key)) {
-      out.skipped = true;  // served from memory, not simulated
-      body = std::move(*memo);
-    } else {
-      all_hits = false;
-      const scenario::RunRecord record = scenario::Runner{run.spec}.try_run();
-      body = record.to_json();
-      if (record.ok()) cache_.put(key, body);
-    }
-    out.record_json = std::move(body);
+    Answer a = answer(run.spec);
+    out.skipped = a.hit;  // served from memory, not simulated
+    all_hits = all_hits && a.hit;
+    out.record_json = std::move(a.body);
     try {
       const JsonValue doc = parse_json(out.record_json);
       if (doc.has("error") && !doc.at("error").as_string().empty())

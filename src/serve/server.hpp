@@ -5,10 +5,10 @@
 // (serve/protocol.hpp). It stays alive across requests, which is the whole
 // point: the dPerf memos (scenario::cost_profile, Runner::traces; one
 // derivation per key, distinct keys in parallel) stay hot in-process, and
-// complete answers are memoized in an LRU byte-budgeted cache keyed on
-// canonical spec text (serve/cache.hpp) — so the repeated what-if query,
-// the dominant traffic shape at "millions of users" scale, is a map
-// lookup, not a simulation.
+// complete answers are memoized in a support::Memo under an LRU byte budget,
+// keyed on canonical spec text — so the repeated what-if query, the
+// dominant traffic shape at "millions of users" scale, is a map lookup, not
+// a simulation, and overlapping identical requests simulate once.
 //
 // Concurrency: requests are handled on a fixed worker pool (`jobs`); each
 // connection carries exactly one request and is served entirely by one
@@ -36,9 +36,9 @@
 #include <string>
 
 #include "scenario/spec.hpp"
-#include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/stats.hpp"
+#include "support/memo.hpp"
 #include "support/socket.hpp"
 
 namespace pdc {
@@ -58,7 +58,8 @@ struct ServerOptions {
   std::string spool_dir;
   /// Concurrent request workers.
   int jobs = 1;
-  /// Memo-cache byte budget; SIZE_MAX = the PDC_SERVE_CACHE_BYTES knob.
+  /// Response-cache byte budget (each entry charges key + body bytes);
+  /// SIZE_MAX = the PDC_SERVE_CACHE_BYTES knob.
   std::size_t cache_bytes = static_cast<std::size_t>(-1);
   /// Final ServeStats JSON written on shutdown (empty = none).
   std::string stats_path;
@@ -105,6 +106,8 @@ class Server {
   Response dispatch(const Request& req);
   Response run_scenario(const std::string& text);
   Response run_campaign(const std::string& text);
+  struct Answer;
+  Answer answer(scenario::ScenarioSpec spec);
   void recover_spool();
   void scan_spool(ThreadPool& pool);
   void process_spool_file(const std::string& claimed_path, const std::string& stem);
@@ -114,7 +117,8 @@ class Server {
   ServerOptions opts_;
   Socket unix_listener_;
   Socket tcp_listener_;
-  MemoCache cache_;
+  // canonical spec text -> RunRecord JSON; failed runs are never kept.
+  support::Memo<std::string, std::string> cache_;
   StatsCollector collector_;
   std::atomic<bool> stop_{false};
   std::chrono::steady_clock::time_point start_;

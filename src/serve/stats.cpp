@@ -129,14 +129,14 @@ void StatsCollector::record_latency(bool cache_hit, double seconds) {
   (cache_hit ? totals_.latency_hit : totals_.latency_miss).observe(seconds);
 }
 
-ServeStats StatsCollector::snapshot(const MemoCache& cache,
+ServeStats StatsCollector::snapshot(const support::MemoStats& cache,
                                     double uptime_seconds) const {
   ServeStats s;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     s = totals_;
   }
-  s.cache = cache.stats();
+  s.cache = cache;
   s.memos = scenario::memo_stats();
   s.uptime_seconds = uptime_seconds;
   return s;

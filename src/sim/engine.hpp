@@ -57,7 +57,7 @@ struct EngineStats {
   /// zero *and* closures_inline growing only with genuine callback events is
   /// the allocation-free contract made observable.
   std::uint64_t closures_inline = 0;
-  /// Closures that overflowed to the slab pool (capture > EventFn::kInlineSize).
+  /// Closures that overflowed to the heap (capture > EventFn::kInlineSize).
   std::uint64_t closures_heap = 0;
   /// Raw coroutine-handle resumes scheduled (the no-closure fast path).
   std::uint64_t resumes = 0;

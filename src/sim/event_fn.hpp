@@ -5,62 +5,21 @@
 //  * captures up to kInlineSize bytes (sized for the largest real capture
 //    set in src/ — an overlay CtrlMsg move-capture at 56 bytes) live inline
 //    in the EventFn itself;
-//  * larger captures fall back to a pooled slab: fixed-size blocks recycled
-//    through a thread-local free list, so even the oversized path allocates
-//    only until the pool warms up (one engine is only ever driven from one
-//    thread, and campaign workers each warm their own pool);
-//  * captures beyond the slab block size take an exact-size allocation —
-//    the escape hatch, counted as a heap closure like the slab path.
+//  * larger captures take an exact-size allocation — the escape hatch,
+//    counted as a heap closure (no shipped workload schedules one).
 //
 // Dispatch is a single indirect call through a per-type vtable; moving an
 // EventFn relocates the inline capture (move-construct + destroy, which
 // optimizes to a memcpy for the trivially movable captures the simulator
-// schedules) or just steals the slab pointer.
+// schedules) or just steals the heap pointer.
 #pragma once
 
 #include <cstddef>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace pdc::sim {
-
-namespace detail {
-
-/// Thread-local recycler for oversized-closure blocks. Blocks are uniform
-/// (kBlockSize) so any freed block satisfies any later oversized capture
-/// that fits; larger captures bypass the pool entirely.
-class ClosureSlabPool {
- public:
-  static constexpr std::size_t kBlockSize = 192;
-
-  static ClosureSlabPool& instance() {
-    thread_local ClosureSlabPool pool;
-    return pool;
-  }
-
-  void* alloc() {
-    if (!free_.empty()) {
-      void* p = free_.back();
-      free_.pop_back();
-      return p;
-    }
-    return ::operator new(kBlockSize, std::align_val_t{alignof(std::max_align_t)});
-  }
-
-  void release(void* p) { free_.push_back(p); }
-
-  ~ClosureSlabPool() {
-    for (void* p : free_)
-      ::operator delete(p, std::align_val_t{alignof(std::max_align_t)});
-  }
-
- private:
-  std::vector<void*> free_;
-};
-
-}  // namespace detail
 
 class EventFn {
  public:
@@ -97,12 +56,6 @@ class EventFn {
                          alignof(D) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       vt_ = &inline_vtable<D>;
-    } else if constexpr (sizeof(D) <= detail::ClosureSlabPool::kBlockSize &&
-                         alignof(D) <= alignof(std::max_align_t)) {
-      void* block = detail::ClosureSlabPool::instance().alloc();
-      ::new (block) D(std::forward<F>(f));
-      ptr() = block;
-      vt_ = &slab_vtable<D>;
     } else {
       ptr() = new D(std::forward<F>(f));
       vt_ = &exact_vtable<D>;
@@ -126,7 +79,7 @@ class EventFn {
 
   explicit operator bool() const { return vt_ != nullptr; }
 
-  /// True when the capture lives outside the EventFn (slab or exact-size
+  /// True when the capture lives outside the EventFn (an exact-size heap
   /// block) — the counter behind EngineStats' inline-vs-heap split.
   bool on_heap() const { return vt_ != nullptr && vt_->heap; }
 
@@ -188,12 +141,6 @@ class EventFn {
     *reinterpret_cast<void**>(dst) = *reinterpret_cast<void**>(src);
   }
   template <class D>
-  static void destroy_slab(void* p) {
-    D* obj = pointee<D>(p);
-    obj->~D();
-    detail::ClosureSlabPool::instance().release(obj);
-  }
-  template <class D>
   static void destroy_exact(void* p) {
     delete pointee<D>(p);
   }
@@ -203,9 +150,6 @@ class EventFn {
   template <class D>
   static constexpr VTable inline_vtable{&invoke_inline<D>, &relocate_inline<D>,
                                         &destroy_inline<D>, false};
-  template <class D>
-  static constexpr VTable slab_vtable{&invoke_ptr<D>, &relocate_ptr, &destroy_slab<D>,
-                                      true};
   template <class D>
   static constexpr VTable exact_vtable{&invoke_ptr<D>, &relocate_ptr, &destroy_exact<D>,
                                        true};

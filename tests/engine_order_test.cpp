@@ -158,11 +158,11 @@ TEST(EngineOrder, CancelHandleAfterSlotRecycledIsInert) {
   EXPECT_EQ(new_fired, 1);
 }
 
-TEST(EngineOrder, OversizedClosuresTakeTheSlabPathAndStillRun) {
+TEST(EngineOrder, OversizedClosuresTakeTheHeapPathAndStillRun) {
   Engine eng;
-  std::array<char, 120> big{};  // > EventFn::kInlineSize, within the slab block
+  std::array<char, 120> big{};  // > EventFn::kInlineSize: exact-size allocation
   big[0] = 7;
-  std::array<char, 400> huge{};  // > slab block: exact-size escape hatch
+  std::array<char, 400> huge{};
   huge[0] = 9;
   int sum = 0;
   eng.schedule_at(1.0, [big, &sum] { sum += big[0]; });

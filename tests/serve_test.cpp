@@ -1,7 +1,8 @@
-// Prediction-as-a-service: memo-cache semantics (LRU under a byte budget),
-// wire-protocol framing, and the full daemon round trip — the second
-// request for one scenario must be a cache hit, byte-identical, and far
-// cheaper than the first (the warm/cold split the serve layer exists for).
+// Prediction-as-a-service: wire-protocol framing and the full daemon round
+// trip — the second request for one scenario must be a cache hit,
+// byte-identical, and far cheaper than the first (the warm/cold split the
+// serve layer exists for), and overlapping identical requests simulate once.
+// The response cache's own semantics are the support::Memo tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +11,8 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/stats.hpp"
@@ -25,110 +26,6 @@ namespace fs = std::filesystem;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-TEST(MemoCache, CountsHitsAndMisses) {
-  MemoCache cache{1 << 20};
-  EXPECT_FALSE(cache.get("a").has_value());
-  cache.put("a", "alpha");
-  auto hit = cache.get("a");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, "alpha");
-  const CacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.insertions, 1u);
-  EXPECT_EQ(s.bytes, std::string("a").size() + std::string("alpha").size());
-}
-
-TEST(MemoCache, EvictsLeastRecentlyUsedUnderByteBudget) {
-  // Each entry charges key (1) + value (10) = 11 bytes; budget fits two.
-  MemoCache cache{22};
-  const std::string ten(10, 'x');
-  cache.put("a", ten);
-  cache.put("b", ten);
-  ASSERT_TRUE(cache.get("a").has_value());  // refresh a: b is now LRU
-  cache.put("c", ten);                      // evicts b
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
-  const CacheStats s = cache.stats();
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.entries, 2u);
-  EXPECT_LE(s.bytes, s.budget_bytes);
-}
-
-TEST(MemoCache, ReplacingAKeyAdjustsBytes) {
-  MemoCache cache{1 << 20};
-  cache.put("k", "short");
-  cache.put("k", std::string(100, 'y'));
-  const CacheStats s = cache.stats();
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.bytes, 1u + 100u);
-  EXPECT_EQ(cache.get("k")->size(), 100u);
-}
-
-TEST(MemoCache, OversizedEntriesAreNotCachedAndEvictNothing) {
-  MemoCache cache{32};
-  cache.put("keep", "1234");
-  cache.put("huge", std::string(1000, 'z'));  // bigger than the whole budget
-  EXPECT_TRUE(cache.get("keep").has_value());
-  EXPECT_FALSE(cache.get("huge").has_value());
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-// Regression: replacing a resident key with a value bigger than the whole
-// budget used to leave the oversized entry resident and let the eviction
-// loop drain every other entry trying to make room. The replacement must
-// simply drop the key (the header's oversized-entry promise) and leave the
-// rest of the working set alone.
-TEST(MemoCache, OversizedReplacementDropsKeyAndKeepsWorkingSet) {
-  MemoCache cache{32};
-  cache.put("keep", "1234");          // 8 bytes
-  cache.put("k", "v");                // 2 bytes
-  cache.put("k", std::string(100, 'z'));  // oversized replacement
-  EXPECT_FALSE(cache.get("k").has_value());
-  EXPECT_TRUE(cache.get("keep").has_value());
-  const CacheStats s = cache.stats();
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.bytes, std::string("keep").size() + std::string("1234").size());
-}
-
-// The bytes counter must equal the byte footprint of the live entries after
-// any interleaving of inserts, replacements, oversized puts and evictions —
-// checked here across every transition the cache implements.
-TEST(MemoCache, BytesMatchLiveEntriesThroughAllTransitions) {
-  MemoCache cache{40};
-  const auto live_bytes = [&cache](std::initializer_list<const char*> keys) {
-    std::size_t total = 0;
-    for (const char* k : keys) {
-      const auto v = cache.get(k);
-      if (v.has_value()) total += std::string(k).size() + v->size();
-    }
-    return total;
-  };
-  cache.put("a", "12345");  // 6
-  cache.put("b", "12345");  // 6
-  EXPECT_EQ(cache.stats().bytes, live_bytes({"a", "b"}));
-  cache.put("a", std::string(12, 'x'));  // in-place growth
-  EXPECT_EQ(cache.stats().bytes, live_bytes({"a", "b"}));
-  cache.put("a", "1");  // in-place shrink
-  EXPECT_EQ(cache.stats().bytes, live_bytes({"a", "b"}));
-  cache.put("c", std::string(34, 'y'));  // forces LRU eviction
-  EXPECT_EQ(cache.stats().bytes, live_bytes({"a", "b", "c"}));
-  cache.put("d", std::string(64, 'z'));  // oversized insert: not cached
-  EXPECT_EQ(cache.stats().bytes, live_bytes({"a", "b", "c", "d"}));
-  cache.put("c", std::string(64, 'w'));  // oversized replacement: drops c
-  EXPECT_EQ(cache.stats().bytes, live_bytes({"a", "b", "c", "d"}));
-  EXPECT_LE(cache.stats().bytes, cache.stats().budget_bytes);
-}
-
-TEST(MemoCache, ZeroBudgetDisablesCaching) {
-  MemoCache cache{0};
-  cache.put("a", "b");
-  EXPECT_FALSE(cache.get("a").has_value());
-  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(Protocol, RoundTripsRequestsAndResponses) {
@@ -263,6 +160,39 @@ TEST(Serve, SecondRequestIsAByteIdenticalCacheHitAndMuchFaster) {
   EXPECT_EQ(doc.at("cache").at("hits").as_double(), kWarmRequests + 1.0);
   EXPECT_EQ(doc.at("cache").at("misses").as_double(), 1.0);
   EXPECT_GE(doc.at("memos").at("trace_sets").as_double(), 0.0);
+}
+
+// Identical requests in flight at once share one simulation: the first to
+// reach the cache derives, the rest wait for its answer and count as hits.
+TEST(Serve, OverlappingIdenticalRequestsSimulateOnce) {
+  ServerOptions opts;
+  opts.tcp_port = 0;
+  opts.jobs = 4;
+  TestServer ts{opts};
+  const int port = ts.server->port();
+  // Long enough (a cold dPerf key, then reference and replay) that the
+  // requests below are all in flight before the first one finishes.
+  const Request run{RequestKind::RunScenario,
+                    "scenario overlapping\nplatform lan\npeers 4\nmode both\n"
+                    "grid 130\niters 40\nbench 18 3 2\n"};
+  constexpr int kClients = 4;
+  std::vector<Response> got(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i)
+    clients.emplace_back([&, i] { got[i] = roundtrip(port, run); });
+  for (std::thread& t : clients) t.join();
+  int misses = 0;
+  for (const Response& r : got) {
+    ASSERT_TRUE(r.ok) << r.body;
+    EXPECT_EQ(r.body, got[0].body);
+    misses += r.tag == "miss";
+  }
+  EXPECT_EQ(misses, 1);
+  const JsonValue doc =
+      parse_json(roundtrip(port, Request{RequestKind::Stats, ""}).body);
+  EXPECT_EQ(doc.at("cache").at("misses").as_double(), 1.0);
+  EXPECT_EQ(doc.at("cache").at("hits").as_double(), kClients - 1.0);
+  EXPECT_EQ(doc.at("cache").at("entries").as_double(), 1.0);
 }
 
 TEST(Serve, BadSpecsAreErrorsNotCrashes) {

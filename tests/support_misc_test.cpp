@@ -5,8 +5,10 @@
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -209,7 +211,9 @@ TEST(Memo, SameKeyDerivesOnceAndSharesOnePointer) {
     EXPECT_EQ(p, got[0]);
     EXPECT_EQ(*p, 42);
   }
-  EXPECT_EQ(memo.values().size(), 1u);
+  EXPECT_EQ(memo.stats().entries, 1u);
+  EXPECT_EQ(memo.stats().misses, 1u);
+  EXPECT_EQ(memo.stats().hits, 7u);
 }
 
 TEST(Memo, DistinctKeysDeriveConcurrently) {
@@ -244,7 +248,7 @@ TEST(Memo, ThrowingDerivationIsRetriedNotCached) {
                           throw std::runtime_error("transient");
                         }),
                std::runtime_error);
-  EXPECT_TRUE(memo.values().empty());
+  EXPECT_EQ(memo.stats().entries, 0u);
   const auto p = memo.get(7, [&] {
     ++derivations;
     return 5;
@@ -252,6 +256,148 @@ TEST(Memo, ThrowingDerivationIsRetriedNotCached) {
   EXPECT_EQ(*p, 5);
   EXPECT_EQ(derivations, 2);
   EXPECT_EQ(memo.get(7, [] { return 6; }), p);
+}
+
+TEST(Memo, ThrowingDerivationReachesItsWaitersAndIsNotCached) {
+  support::Memo<int, int> memo;
+  constexpr int kWaiters = 3;
+  std::atomic<int> failures{0};
+  std::thread owner([&] {
+    try {
+      memo.get(1, [&]() -> int {
+        // Waiters count as hits as they join the slot; fail once all have.
+        const auto t0 = std::chrono::steady_clock::now();
+        while (memo.stats().hits < kWaiters &&
+               std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10))
+          std::this_thread::yield();
+        throw std::runtime_error("failed run");
+      });
+    } catch (const std::runtime_error&) {
+      ++failures;
+    }
+  });
+  while (memo.stats().misses == 0) std::this_thread::yield();
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i)
+    waiters.emplace_back([&] {
+      try {
+        memo.get(1, [] { return 0; });  // never runs: the slot is in flight
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()) == "failed run") ++failures;
+      }
+    });
+  for (std::thread& t : waiters) t.join();
+  owner.join();
+  EXPECT_EQ(failures, kWaiters + 1);
+  const support::MemoStats s = memo.stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kWaiters));
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.insertions, 0u);
+  EXPECT_EQ(*memo.get(1, [] { return 9; }), 9);  // derived afresh
+}
+
+// The byte-budget tests charge key + value bytes, as the serve response
+// cache does.
+using StringMemo = support::Memo<std::string, std::string>;
+
+StringMemo string_memo(std::size_t budget) {
+  return StringMemo{
+      [](const std::string& key, const std::string& value) { return key.size() + value.size(); },
+      budget};
+}
+
+/// The value under `key`, deriving `value` on a miss.
+std::string put(StringMemo& memo, const std::string& key, std::string value) {
+  return *memo.get(key, [&] { return value; });
+}
+
+/// The resident value under `key`; a miss derives (and keeps) nothing.
+std::optional<std::string> lookup(StringMemo& memo, const std::string& key) {
+  struct Absent {};
+  try {
+    return *memo.get(key, []() -> std::string { throw Absent{}; });
+  } catch (const Absent&) {
+    return std::nullopt;
+  }
+}
+
+TEST(Memo, CountsHitsAndMisses) {
+  StringMemo memo = string_memo(1 << 20);
+  EXPECT_EQ(put(memo, "a", "alpha"), "alpha");
+  EXPECT_EQ(put(memo, "a", "other"), "alpha");  // a hit derives nothing
+  const support::MemoStats s = memo.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.insertions, 1u);
+  EXPECT_EQ(s.bytes, std::string("a").size() + std::string("alpha").size());
+  EXPECT_EQ(s.budget_bytes, std::size_t{1} << 20);
+}
+
+TEST(Memo, EvictsLeastRecentlyUsedUnderByteBudget) {
+  // Each entry charges key (1) + value (10) = 11 bytes; budget fits two.
+  StringMemo memo = string_memo(22);
+  const std::string ten(10, 'x');
+  put(memo, "a", ten);
+  put(memo, "b", ten);
+  ASSERT_TRUE(lookup(memo, "a").has_value());  // refresh a: b is now LRU
+  put(memo, "c", ten);                          // evicts b
+  EXPECT_TRUE(lookup(memo, "a").has_value());
+  EXPECT_FALSE(lookup(memo, "b").has_value());
+  EXPECT_TRUE(lookup(memo, "c").has_value());
+  const support::MemoStats s = memo.stats();
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_LE(s.bytes, s.budget_bytes);
+}
+
+TEST(Memo, OversizedEntriesAreReturnedNotKeptAndEvictNothing) {
+  StringMemo memo = string_memo(32);
+  put(memo, "keep", "1234");
+  EXPECT_EQ(put(memo, "huge", std::string(1000, 'z')).size(), 1000u);
+  EXPECT_TRUE(lookup(memo, "keep").has_value());
+  EXPECT_FALSE(lookup(memo, "huge").has_value());
+  const support::MemoStats s = memo.stats();
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.bytes, std::string("keep").size() + std::string("1234").size());
+}
+
+// The bytes counter must equal the footprint of the live entries after any
+// interleaving of inserts, hits, evictions, oversized entries and failed
+// derivations.
+TEST(Memo, BytesMatchLiveEntriesThroughAllTransitions) {
+  StringMemo memo = string_memo(40);
+  const auto live_bytes = [&memo](std::initializer_list<const char*> keys) {
+    std::size_t total = 0;
+    for (const char* k : keys)
+      if (const auto v = lookup(memo, k)) total += std::string(k).size() + v->size();
+    return total;
+  };
+  put(memo, "a", "12345");  // 6
+  put(memo, "b", "12345");  // 6
+  EXPECT_EQ(memo.stats().bytes, live_bytes({"a", "b"}));
+  put(memo, "c", std::string(20, 'y'));  // 21: fits beside a and b
+  EXPECT_EQ(memo.stats().bytes, live_bytes({"a", "b", "c"}));
+  put(memo, "d", std::string(30, 'w'));  // 31: evicts down to fit
+  EXPECT_EQ(memo.stats().bytes, live_bytes({"a", "b", "c", "d"}));
+  put(memo, "e", std::string(64, 'z'));  // oversized: not kept
+  EXPECT_EQ(memo.stats().bytes, live_bytes({"a", "b", "c", "d", "e"}));
+  EXPECT_FALSE(lookup(memo, "f").has_value());  // failed derivation
+  EXPECT_EQ(memo.stats().bytes, live_bytes({"a", "b", "c", "d", "e", "f"}));
+  EXPECT_GT(memo.stats().evictions, 0u);
+  EXPECT_LE(memo.stats().bytes, memo.stats().budget_bytes);
+}
+
+TEST(Memo, ZeroBudgetKeepsNothing) {
+  StringMemo memo = string_memo(0);
+  EXPECT_EQ(put(memo, "a", "b"), "b");
+  EXPECT_FALSE(lookup(memo, "a").has_value());
+  const support::MemoStats s = memo.stats();
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.bytes, 0u);
+  EXPECT_EQ(s.insertions, 0u);
 }
 
 }  // namespace
