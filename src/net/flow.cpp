@@ -54,9 +54,9 @@ void FlowNet::sync_linkdirs() {
                   link_scales_[static_cast<std::size_t>(link)];
     linkdirs_.push_back(std::move(ld));
   }
-  if (cap_.size() < want) {
-    cap_.resize(want, 0.0);
-    nun_.resize(want, 0);
+  if (fill_.cap.size() < want) {
+    fill_.cap.resize(want, 0.0);
+    fill_.nun.resize(want, 0);
   }
 }
 
@@ -171,121 +171,64 @@ sim::Task<void> FlowNet::transfer(NodeIdx src, NodeIdx dst, double bytes) {
 
 std::vector<double> FlowNet::hypothetical_rates(
     const std::vector<std::pair<NodeIdx, NodeIdx>>& endpoints) const {
-  // Class-aggregated progressive filling, mirroring resolve_dirty() but
-  // against the platform's (churn-rescaled) nominal capacities instead of
-  // live flow state: endpoints whose route signatures match (linkdir for
-  // batch-shared hops, capacity for batch-private hops) collapse into one
-  // class with a multiplicity, so a gather/scatter what-if over 10^4
-  // endpoints solves over O(1) classes.
+  // The batch is a private instance of the live solver's problem: one link
+  // record per linkdir it crosses, numbered in first-crossing order, with
+  // the platform's (churn-rescaled) capacity and the batch's crossing count.
+  // Routes are copied as local link numbers: the route cache may evict.
   std::vector<double> rates(endpoints.size(), kInf);
-  struct Entry {
-    std::vector<Hop> hops;  // copied: the platform's route cache may evict
-    std::size_t index;
-  };
-  std::vector<Entry> entries;
-  std::map<std::size_t, double> capacity;   // linkdir -> usable capacity
-  std::map<std::size_t, int> cross_count;   // linkdir -> crossings in batch
+  std::unordered_map<std::size_t, std::uint32_t> local;  // linkdir -> link
+  std::vector<LinkDir> links;
+  Filling fill;
+  std::vector<std::uint32_t> route_links;  // every route, concatenated
+  std::vector<std::size_t> route_end(endpoints.size());
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
     const auto [src, dst] = endpoints[i];
-    if (src == dst) continue;
-    const Route& route = platform_->route(src, dst);
-    Entry e{route.hops, i};
-    for (const Hop& h : e.hops) {
-      const std::size_t key = linkdir_index(h);
-      capacity.emplace(key, platform_->link(h.link).bandwidth_Bps * link_scale(h.link));
-      ++cross_count[key];
+    if (src != dst) {
+      for (const Hop& h : platform_->route(src, dst).hops) {
+        const auto [it, fresh] =
+            local.emplace(linkdir_index(h), static_cast<std::uint32_t>(links.size()));
+        if (fresh) {
+          links.emplace_back();
+          fill.cap.push_back(platform_->link(h.link).bandwidth_Bps * link_scale(h.link));
+          fill.nun.push_back(0);
+        }
+        ++fill.nun[it->second];
+        route_links.push_back(it->second);
+      }
     }
-    entries.push_back(std::move(e));
+    route_end[i] = route_links.size();
   }
+  for (std::size_t l = 0; l < links.size(); ++l)
+    if (fill.nun[l] >= 2) fill.links.push_back(l);
 
-  struct HypoClass {
-    std::vector<SigTok> sig;
-    std::vector<std::size_t> shared_links;  // linkdir per SHARED token
-    double private_min_cap = kInf;
-    std::uint32_t mult = 0;
-    std::vector<std::size_t> members;  // endpoint indices
-    bool fixed = false;
-  };
-  std::vector<HypoClass> classes;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> index;
+  // Classes by the live signature rule. No salt: a what-if has no flow ids,
+  // and merging disjoint all-private routes leaves every rate unchanged.
+  std::vector<FlowClass> classes;
+  ClassIndex index;
+  std::vector<ClassSlot> cls(endpoints.size(), kNoClass);
   std::vector<SigTok> sig;
-  for (const Entry& e : entries) {
+  for (std::size_t i = 0, begin = 0; i < endpoints.size(); begin = route_end[i++]) {
+    if (endpoints[i].first == endpoints[i].second) continue;
     sig.clear();
-    for (const Hop& h : e.hops) {
-      const std::size_t key = linkdir_index(h);
-      if (cross_count[key] >= 2)
-        sig.push_back(SigTok{static_cast<std::uint64_t>(key), TokKind::Shared});
-      else
-        sig.push_back(
-            SigTok{std::bit_cast<std::uint64_t>(capacity[key]), TokKind::Private});
+    for (std::size_t k = begin; k < route_end[i]; ++k) {
+      const std::uint32_t l = route_links[k];
+      sig.push_back(hop_token(l, static_cast<std::size_t>(fill.nun[l]), fill.cap[l]));
     }
     const std::uint64_t h = hash_sig(sig);
-    std::size_t ci = classes.size();
-    for (const std::size_t cand : index[h]) {
-      if (classes[cand].sig == sig) {
-        ci = cand;
-        break;
-      }
+    ClassSlot cs = find_class(index, classes, h, sig);
+    if (cs == kNoClass) {
+      cs = static_cast<ClassSlot>(classes.size());
+      classes.emplace_back();
+      open_class(cs, classes, links, index, sig, h);
+      classes[cs].rate = kInf;  // a class no constraint reaches stays unbounded
+      if (std::isfinite(classes[cs].private_min_cap)) fill.private_classes.push_back(cs);
     }
-    if (ci == classes.size()) {
-      HypoClass c;
-      c.sig = sig;
-      for (std::size_t p = 0; p < sig.size(); ++p) {
-        if (sig[p].kind == TokKind::Shared)
-          c.shared_links.push_back(static_cast<std::size_t>(sig[p].v));
-        else
-          c.private_min_cap =
-              std::min(c.private_min_cap, std::bit_cast<double>(sig[p].v));
-      }
-      classes.push_back(std::move(c));
-      index[h].push_back(ci);
-    }
-    ++classes[ci].mult;
-    classes[ci].members.push_back(e.index);
+    ++classes[cs].mult;
+    cls[i] = cs;
   }
-
-  // Progressive filling over classes, mirroring resolve_dirty(): only
-  // batch-shared linkdirs act as link constraints in the scan (their
-  // residual capacity and crossing count shrink as classes fix); a
-  // batch-private linkdir constrains exactly one class and enters solely
-  // through that class's private_min_cap, which leaves the problem with the
-  // class. Keeping fixed classes' private links in the scan would wedge
-  // `best` at an already-consumed capacity and starve the rest to infinity.
-  std::vector<std::size_t> shared_keys;
-  for (const auto& [key, n] : cross_count)
-    if (n >= 2) shared_keys.push_back(key);
-  std::size_t unfixed = classes.size();
-  while (unfixed > 0) {
-    double best = kInf;
-    for (const std::size_t key : shared_keys) {
-      const int n = cross_count[key];
-      if (n > 0) best = std::min(best, capacity[key] / n);
-    }
-    for (const HypoClass& c : classes)
-      if (!c.fixed) best = std::min(best, c.private_min_cap);
-    if (!std::isfinite(best)) break;
-    bool fixed_any = false;
-    for (HypoClass& c : classes) {
-      if (c.fixed) continue;
-      bool at_bottleneck = c.private_min_cap <= best * (1 + 1e-12);
-      for (const std::size_t key : c.shared_links) {
-        if (at_bottleneck) break;
-        if (cross_count[key] > 0 &&
-            capacity[key] / cross_count[key] <= best * (1 + 1e-12))
-          at_bottleneck = true;
-      }
-      if (!at_bottleneck) continue;
-      c.fixed = true;
-      --unfixed;
-      fixed_any = true;
-      for (const std::size_t i : c.members) rates[i] = best;
-      for (const std::size_t key : c.shared_links) {
-        capacity[key] = std::max(0.0, capacity[key] - best * c.mult);
-        cross_count[key] -= static_cast<int>(c.mult);
-      }
-    }
-    if (!fixed_any) break;  // numeric safety
-  }
+  fill_classes(fill, classes, links, classes.size(), 1);
+  for (std::size_t i = 0; i < endpoints.size(); ++i)
+    if (cls[i] != kNoClass) rates[i] = classes[cls[i]].rate;
   return rates;
 }
 
@@ -372,19 +315,56 @@ std::uint64_t FlowNet::hash_sig(const std::vector<SigTok>& sig) {
   return h;
 }
 
+FlowNet::SigTok FlowNet::hop_token(std::size_t link, std::size_t crossings,
+                                   double capacity) {
+  if (crossings >= 2) return SigTok{static_cast<std::uint64_t>(link), TokKind::Shared};
+  return SigTok{std::bit_cast<std::uint64_t>(capacity), TokKind::Private};
+}
+
+FlowNet::ClassSlot FlowNet::find_class(const ClassIndex& index,
+                                       const std::vector<FlowClass>& classes,
+                                       std::uint64_t h, const std::vector<SigTok>& sig) {
+  auto it = index.find(h);
+  if (it == index.end()) return kNoClass;
+  for (ClassSlot cand = it->second; cand != kNoClass; cand = classes[cand].hash_next)
+    if (classes[cand].sig == sig) return cand;
+  return kNoClass;
+}
+
+void FlowNet::open_class(ClassSlot cs, std::vector<FlowClass>& classes,
+                         std::vector<LinkDir>& links, ClassIndex& index,
+                         const std::vector<SigTok>& sig, std::uint64_t h) {
+  FlowClass& c = classes[cs];
+  c.sig.assign(sig.begin(), sig.end());
+  c.sig_hash = h;
+  c.private_min_cap = kInf;
+  c.tally_pos.assign(c.sig.size(), 0);
+  for (std::uint32_t p = 0; p < c.sig.size(); ++p) {
+    if (c.sig[p].kind == TokKind::Shared) {
+      const auto li = static_cast<std::size_t>(c.sig[p].v);
+      c.tally_pos[p] = static_cast<std::uint32_t>(links[li].classes.size());
+      links[li].classes.push_back(ClassCrossing{cs, p});
+    } else if (c.sig[p].kind == TokKind::Private) {
+      c.private_min_cap = std::min(c.private_min_cap, std::bit_cast<double>(c.sig[p].v));
+    }
+  }
+  auto [it, inserted] = index.emplace(h, cs);
+  if (!inserted) {
+    c.hash_next = it->second;
+    it->second = cs;
+  } else {
+    c.hash_next = kNoClass;
+  }
+}
+
 void FlowNet::build_signature(const Flow& f) {
   sig_scratch_.clear();
   bool any_shared = false;
   for (const Hop& h : f.hops) {
     const std::size_t li = linkdir_index(h);
-    const LinkDir& ld = linkdirs_[li];
-    if (ld.members.size() >= 2) {
-      sig_scratch_.push_back(SigTok{static_cast<std::uint64_t>(li), TokKind::Shared});
-      any_shared = true;
-    } else {
-      sig_scratch_.push_back(
-          SigTok{std::bit_cast<std::uint64_t>(ld.capacity), TokKind::Private});
-    }
+    sig_scratch_.push_back(
+        hop_token(li, linkdirs_[li].members.size(), linkdirs_[li].capacity));
+    any_shared |= sig_scratch_.back().kind == TokKind::Shared;
   }
   // An all-private route contends with nothing: salt it with the flow id so
   // fully disjoint flows keep separate classes (see SigTok).
@@ -405,50 +385,20 @@ void FlowNet::classify_flow(Slot slot, double remaining, Time now) {
   Flow& f = flows_[slot];
   build_signature(f);
   const std::uint64_t h = hash_sig(sig_scratch_);
-  ClassSlot cs = kNoClass;
-  auto it = class_index_.find(h);
-  if (it != class_index_.end()) {
-    for (ClassSlot cand = it->second; cand != kNoClass;
-         cand = classes_[cand].hash_next) {
-      if (classes_[cand].sig == sig_scratch_) {
-        cs = cand;
-        break;
-      }
-    }
-  }
+  ClassSlot cs = find_class(class_index_, classes_, h, sig_scratch_);
   if (cs != kNoClass) {
     settle_class(classes_[cs], now);
     ++stats_.class_merges;
   } else {
     cs = alloc_class();
+    open_class(cs, classes_, linkdirs_, class_index_, sig_scratch_, h);
     FlowClass& c = classes_[cs];
-    c.sig.assign(sig_scratch_.begin(), sig_scratch_.end());
-    c.sig_hash = h;
-    c.private_min_cap = kInf;
     c.mult = 0;
     c.rate = 0;
     c.credit = 0;
     c.last_touched = now;
-    c.tally_pos.assign(c.sig.size(), 0);
     c.member_heap.clear();
     c.live = true;
-    for (std::uint32_t p = 0; p < c.sig.size(); ++p) {
-      if (c.sig[p].kind == TokKind::Shared) {
-        const auto li = static_cast<std::size_t>(c.sig[p].v);
-        c.tally_pos[p] = static_cast<std::uint32_t>(linkdirs_[li].classes.size());
-        linkdirs_[li].classes.push_back(ClassCrossing{cs, p});
-      } else if (c.sig[p].kind == TokKind::Private) {
-        c.private_min_cap =
-            std::min(c.private_min_cap, std::bit_cast<double>(c.sig[p].v));
-      }
-    }
-    auto [slot_it, inserted] = class_index_.emplace(h, cs);
-    if (!inserted) {
-      c.hash_next = slot_it->second;
-      slot_it->second = cs;
-    } else {
-      c.hash_next = kNoClass;
-    }
     ++live_classes_;
     stats_.classes_active =
         std::max<std::uint64_t>(stats_.classes_active, live_classes_);
@@ -565,7 +515,7 @@ void FlowNet::process_reclass_queue(Time now) {
 void FlowNet::resolve_dirty() {
   const Time now = engine_->now();
   ++epoch_;
-  comp_links_.clear();
+  fill_.links.clear();
   affected_classes_.clear();
   bfs_stack_.clear();
 
@@ -579,7 +529,7 @@ void FlowNet::resolve_dirty() {
     LinkDir& ld = linkdirs_[li];
     if (ld.visit_epoch == epoch_) return;
     ld.visit_epoch = epoch_;
-    if (ld.members.size() >= 2) comp_links_.push_back(li);
+    if (ld.members.size() >= 2) fill_.links.push_back(li);
     bfs_stack_.push_back(li);
   };
   for (const std::size_t li : dirty_linkdirs_) {
@@ -613,61 +563,19 @@ void FlowNet::resolve_dirty() {
     tr->instant(tr->track("flownet"), "reshare", now,
                 {{"rescanned", member_total}});
 
-  // Settle credit under the outgoing rates, then re-solve the component by
-  // progressive filling over classes (identical fixing rule to the
-  // reference oracle; a fixed class charges each shared link mult x rate).
-  private_classes_.clear();
+  // Settle credit under the outgoing rates, then re-solve the component.
+  fill_.private_classes.clear();
   for (const ClassSlot cs : affected_classes_) {
     FlowClass& c = classes_[cs];
     settle_class(c, now);
     c.rate = 0;
-    if (std::isfinite(c.private_min_cap)) private_classes_.push_back(cs);
+    if (std::isfinite(c.private_min_cap)) fill_.private_classes.push_back(cs);
   }
-  for (const std::size_t li : comp_links_) {
-    cap_[li] = linkdirs_[li].capacity;
-    nun_[li] = static_cast<int>(linkdirs_[li].members.size());
+  for (const std::size_t li : fill_.links) {
+    fill_.cap[li] = linkdirs_[li].capacity;
+    fill_.nun[li] = static_cast<int>(linkdirs_[li].members.size());
   }
-  std::size_t unfixed = affected_classes_.size();
-  bool fixed_any = false;
-  auto fix_class = [&](ClassSlot cs, double best) {
-    FlowClass& c = classes_[cs];
-    if (c.fixed_epoch == epoch_) return;
-    c.fixed_epoch = epoch_;
-    c.rate = best;
-    --unfixed;
-    fixed_any = true;
-    for (const SigTok& t : c.sig) {
-      if (t.kind != TokKind::Shared) continue;
-      const auto hi = static_cast<std::size_t>(t.v);
-      cap_[hi] = std::max(0.0, cap_[hi] - best * c.mult);
-      nun_[hi] -= static_cast<int>(c.mult);
-    }
-  };
-  while (unfixed > 0) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const std::size_t li : comp_links_)
-      if (nun_[li] > 0) best = std::min(best, cap_[li] / nun_[li]);
-    // Compact away already-fixed classes so the private-cap scan stays
-    // proportional to what is still unfixed.
-    std::size_t w = 0;
-    for (const ClassSlot cs : private_classes_) {
-      if (classes_[cs].fixed_epoch == epoch_) continue;
-      private_classes_[w++] = cs;
-      best = std::min(best, classes_[cs].private_min_cap);
-    }
-    private_classes_.resize(w);
-    if (!std::isfinite(best)) break;  // no constrained classes remain
-    fixed_any = false;
-    for (const std::size_t li : comp_links_) {
-      if (nun_[li] <= 0 || cap_[li] / nun_[li] > best * (1 + 1e-12)) continue;
-      for (const ClassCrossing& cc : linkdirs_[li].classes) fix_class(cc.cls, best);
-    }
-    for (const ClassSlot cs : private_classes_)
-      if (classes_[cs].fixed_epoch != epoch_ &&
-          classes_[cs].private_min_cap <= best * (1 + 1e-12))
-        fix_class(cs, best);
-    if (!fixed_any) break;  // numeric safety
-  }
+  fill_classes(fill_, classes_, linkdirs_, affected_classes_.size(), epoch_);
 
   // Re-key only the affected classes; untouched components keep their
   // absolute projected completion times.
@@ -684,6 +592,59 @@ void FlowNet::resolve_dirty() {
     completion_heap_.set(cs, class_completion_key(cs, now));
   }
   rearm_completion_timer();
+}
+
+void FlowNet::fill_classes(Filling& fill, std::vector<FlowClass>& classes,
+                           const std::vector<LinkDir>& links, std::size_t unfixed,
+                           std::uint64_t epoch) {
+  // Progressive filling over classes, the same fixing rule as the reference
+  // oracle. Each round takes the lowest fair share `best` over the shared
+  // links (cap/nun) and the unfixed classes' private caps, then walks the
+  // links in order and fixes every class crossing one at that share, then
+  // fixes the classes whose private cap is that share. A fixed class charges
+  // each of its shared links mult x rate. A private link constrains exactly
+  // one class and leaves the problem with it, so it enters only through
+  // private_min_cap; kept in the scan, it would wedge `best` at a consumed
+  // capacity.
+  bool fixed_any = false;
+  auto fix_class = [&](ClassSlot cs, double best) {
+    FlowClass& c = classes[cs];
+    if (c.fixed_epoch == epoch) return;
+    c.fixed_epoch = epoch;
+    c.rate = best;
+    --unfixed;
+    fixed_any = true;
+    for (const SigTok& t : c.sig) {
+      if (t.kind != TokKind::Shared) continue;
+      const auto hi = static_cast<std::size_t>(t.v);
+      fill.cap[hi] = std::max(0.0, fill.cap[hi] - best * c.mult);
+      fill.nun[hi] -= static_cast<int>(c.mult);
+    }
+  };
+  while (unfixed > 0) {
+    double best = kInf;
+    for (const std::size_t li : fill.links)
+      if (fill.nun[li] > 0) best = std::min(best, fill.cap[li] / fill.nun[li]);
+    // Compact away already-fixed classes so the private-cap scan stays
+    // proportional to what is still unfixed.
+    std::size_t w = 0;
+    for (const ClassSlot cs : fill.private_classes) {
+      if (classes[cs].fixed_epoch == epoch) continue;
+      fill.private_classes[w++] = cs;
+      best = std::min(best, classes[cs].private_min_cap);
+    }
+    fill.private_classes.resize(w);
+    if (!std::isfinite(best)) break;  // no constrained classes remain
+    fixed_any = false;
+    for (const std::size_t li : fill.links) {
+      if (fill.nun[li] <= 0 || fill.cap[li] / fill.nun[li] > best * (1 + 1e-12)) continue;
+      for (const ClassCrossing& cc : links[li].classes) fix_class(cc.cls, best);
+    }
+    for (const ClassSlot cs : fill.private_classes)
+      if (classes[cs].fixed_epoch != epoch && classes[cs].private_min_cap <= best * (1 + 1e-12))
+        fix_class(cs, best);
+    if (!fixed_any) break;  // numeric safety
+  }
 }
 
 void FlowNet::rearm_completion_timer() {

@@ -121,9 +121,11 @@ class FlowNet {
   /// network, honoring churn link rescales. Never touches live flow state —
   /// this is the analytic planner's rate oracle. Entries with src == dst get
   /// an infinite rate (local delivery costs nothing, as in start_flow).
-  /// Aggregates the batch into flow classes exactly like the live
-  /// incremental solver, so a 10^4-endpoint gather query solves in O(1)
-  /// classes instead of O(endpoints^2).
+  /// The batch is solved by the live incremental solver's own rule: the
+  /// same class signature (minus the live-only salt) and the same filling
+  /// loop, over link records numbered per batch. A 10^4-endpoint gather
+  /// query therefore solves in O(1) classes instead of O(endpoints^2), and
+  /// the cost of a query never scales with the platform's link count.
   std::vector<double> hypothetical_rates(
       const std::vector<std::pair<NodeIdx, NodeIdx>>& endpoints) const;
 
@@ -226,6 +228,20 @@ class FlowNet {
     std::uint64_t visit_epoch = 0;  // scratch: in the current component
   };
 
+  /// Signature hash -> head of an intrusive FlowClass::hash_next chain.
+  using ClassIndex = std::unordered_map<std::uint64_t, ClassSlot>;
+
+  /// Progressive-filling workspace for one component: its shared links in
+  /// component order, and their residual capacity and unfixed crossing
+  /// count (`cap`/`nun`, indexed like the link records), plus the classes
+  /// that carry a finite private capacity.
+  struct Filling {
+    std::vector<std::size_t> links;
+    std::vector<double> cap;
+    std::vector<int> nun;
+    std::vector<ClassSlot> private_classes;
+  };
+
   Slot alloc_slot();
   void release_slot(Slot slot);
   void sync_linkdirs();
@@ -238,6 +254,16 @@ class FlowNet {
   // Incremental engine: class bookkeeping plus component-local re-solve of
   // every class reachable from dirty linkdirs, then heap re-key per class.
   static std::uint64_t hash_sig(const std::vector<SigTok>& sig);
+  static SigTok hop_token(std::size_t link, std::size_t crossings, double capacity);
+  static ClassSlot find_class(const ClassIndex& index,
+                              const std::vector<FlowClass>& classes, std::uint64_t h,
+                              const std::vector<SigTok>& sig);
+  static void open_class(ClassSlot cs, std::vector<FlowClass>& classes,
+                         std::vector<LinkDir>& links, ClassIndex& index,
+                         const std::vector<SigTok>& sig, std::uint64_t h);
+  static void fill_classes(Filling& fill, std::vector<FlowClass>& classes,
+                           const std::vector<LinkDir>& links, std::size_t unfixed,
+                           std::uint64_t epoch);
   void build_signature(const Flow& f);
   ClassSlot alloc_class();
   void classify_flow(Slot slot, double remaining, Time now);
@@ -276,17 +302,15 @@ class FlowNet {
   // Class storage: slot-map plus an intrusive hash index over signatures.
   std::vector<FlowClass> classes_;
   std::vector<ClassSlot> free_classes_;
-  std::unordered_map<std::uint64_t, ClassSlot> class_index_;
+  ClassIndex class_index_;
   std::size_t live_classes_ = 0;
 
-  // Solver scratch, persistent to avoid per-reshare allocation. cap_/nun_
-  // are linkdir-indexed and only valid for the current component.
+  // Solver scratch, persistent to avoid per-reshare allocation. fill_.cap
+  // and fill_.nun are linkdir-indexed and only valid for the current
+  // component.
   std::uint64_t epoch_ = 0;
-  std::vector<double> cap_;
-  std::vector<int> nun_;
-  std::vector<std::size_t> comp_links_;
+  Filling fill_;
   std::vector<ClassSlot> affected_classes_;
-  std::vector<ClassSlot> private_classes_;  // affected classes w/ finite private cap
   std::vector<std::size_t> bfs_stack_;
   std::vector<Slot> done_scratch_;
   std::vector<ClassSlot> popped_classes_;
