@@ -46,11 +46,13 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/executor.hpp"
 #include "support/env.hpp"
+#include "support/spec_keys.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
@@ -67,39 +69,41 @@ int main(int argc, char** argv) {
   // Per-run tracing; the flag overrides the PDC_TRACE_DIR default.
   std::string trace_dir = env_str("PDC_TRACE_DIR");
   std::vector<std::string> merge_dirs;  // positional args after the spec file
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) jobs = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) out_dir = argv[++i];
-    else if (std::strcmp(argv[i], "--trace-dir") == 0 && i + 1 < argc)
-      trace_dir = argv[++i];
-    else if (std::strcmp(argv[i], "--render") == 0) render_only = true;
-    else if (std::strcmp(argv[i], "--list") == 0) list_only = true;
-    else if (std::strcmp(argv[i], "--no-resume") == 0) resume = false;
-    else if (std::strcmp(argv[i], "--check") == 0) check = true;
-    else if (std::strcmp(argv[i], "--merge") == 0) merge = true;
-    else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      if (std::sscanf(argv[++i], "%d/%d", &shard_index, &shard_count) != 2) {
-        std::fprintf(stderr, "--shard wants i/n, e.g. --shard 0/4\n");
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc)
+        jobs = keys::Int{.min = 1}.parse(argv[++i], "-j");
+      else if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) out_dir = argv[++i];
+      else if (std::strcmp(argv[i], "--trace-dir") == 0 && i + 1 < argc)
+        trace_dir = argv[++i];
+      else if (std::strcmp(argv[i], "--render") == 0) render_only = true;
+      else if (std::strcmp(argv[i], "--list") == 0) list_only = true;
+      else if (std::strcmp(argv[i], "--no-resume") == 0) resume = false;
+      else if (std::strcmp(argv[i], "--check") == 0) check = true;
+      else if (std::strcmp(argv[i], "--merge") == 0) merge = true;
+      else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
+        if (std::sscanf(argv[++i], "%d/%d", &shard_index, &shard_count) != 2) {
+          std::fprintf(stderr, "--shard wants i/n, e.g. --shard 0/4\n");
+          return 2;
+        }
+      } else if (argv[i][0] == '-' && std::strcmp(argv[i], "-") != 0) {
+        std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
         return 2;
+      } else if (spec_path == nullptr) {
+        spec_path = argv[i];
+      } else {
+        merge_dirs.push_back(argv[i]);
       }
-    } else if (argv[i][0] == '-' && std::strcmp(argv[i], "-") != 0) {
-      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-      return 2;
-    } else if (spec_path == nullptr) {
-      spec_path = argv[i];
-    } else {
-      merge_dirs.push_back(argv[i]);
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "pdc_campaign: %s\n", e.what());
+    return 2;
   }
   if (spec_path == nullptr) {
     std::fprintf(stderr,
                  "usage: pdc_campaign [-j n] [-o dir] [--shard i/n] [--render] [--list] "
                  "[--no-resume] [--check] [--trace-dir dir] <campaign-file|->\n"
                  "       pdc_campaign --merge [-o dir] <campaign-file|-> <run-dir>...\n");
-    return 2;
-  }
-  if (jobs < 1) {
-    std::fprintf(stderr, "-j wants a positive job count\n");
     return 2;
   }
   if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {

@@ -13,7 +13,8 @@
 //   --tcp <port>      connect to 127.0.0.1:<port> instead
 //   --cmp             treat stdin input ("run -") as campaign text
 //   --expect hit|miss fail (exit 4) unless the server's answer carried that
-//                     cache tag — CI asserts warm-cache behaviour with this
+//                     cache tag — tests/serve_smoke.py asserts the warm path
+//                     with this
 //
 // Commands:
 //   run <file|->      submit the .scn/.cmp file (kind from the extension)
@@ -25,15 +26,16 @@
 // The cache tag of a RUN answer is reported on stderr (`tag: hit`), keeping
 // stdout clean JSON for piping.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "serve/protocol.hpp"
 #include "support/socket.hpp"
+#include "support/spec_keys.hpp"
 
 int main(int argc, char** argv) {
   using namespace pdc;
@@ -43,14 +45,19 @@ int main(int argc, char** argv) {
   std::string expect;
   const char* command = nullptr;
   const char* arg = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--unix") == 0 && i + 1 < argc) unix_path = argv[++i];
-    else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc)
-      tcp_port = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--cmp") == 0) stdin_cmp = true;
-    else if (std::strcmp(argv[i], "--expect") == 0 && i + 1 < argc) expect = argv[++i];
-    else if (command == nullptr) command = argv[i];
-    else arg = argv[i];
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--unix") == 0 && i + 1 < argc) unix_path = argv[++i];
+      else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc)
+        tcp_port = keys::Int{.min = 0, .max = 65535}.parse(argv[++i], "--tcp");
+      else if (std::strcmp(argv[i], "--cmp") == 0) stdin_cmp = true;
+      else if (std::strcmp(argv[i], "--expect") == 0 && i + 1 < argc) expect = argv[++i];
+      else if (command == nullptr) command = argv[i];
+      else arg = argv[i];
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "pdc_client: %s\n", e.what());
+    return 2;
   }
   if (command == nullptr ||
       (std::strcmp(command, "run") == 0) != (arg != nullptr)) {

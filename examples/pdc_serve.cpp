@@ -29,13 +29,14 @@
 // `pdc_serve stopped: ...` summary are stable for scripting.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "scenario/spec.hpp"
 #include "serve/server.hpp"
 #include "support/log.hpp"
+#include "support/spec_keys.hpp"
 
 namespace {
 volatile std::sig_atomic_t g_stop = 0;
@@ -47,31 +48,32 @@ int main(int argc, char** argv) {
   serve::ServerOptions opts;
   opts.base = scenario::RunSpec::from_env();
   opts.stop_flag = &g_stop;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--unix") == 0 && i + 1 < argc) opts.unix_path = argv[++i];
-    else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc)
-      opts.tcp_port = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--spool") == 0 && i + 1 < argc)
-      opts.spool_dir = argv[++i];
-    else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc)
-      opts.jobs = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--stats") == 0 && i + 1 < argc)
-      opts.stats_path = argv[++i];
-    else if (std::strcmp(argv[i], "--cache-bytes") == 0 && i + 1 < argc)
-      opts.cache_bytes = static_cast<std::size_t>(std::atoll(argv[++i]));
-    else if (std::strcmp(argv[i], "--metrics-every") == 0 && i + 1 < argc)
-      opts.metrics_interval_seconds = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "-v") == 0)
-      set_log_level(LogLevel::Info);
-    else {
-      std::fprintf(stderr,
-                   "usage: pdc_serve [--unix path] [--tcp port] [--spool dir] [-j n] "
-                   "[--stats path] [--cache-bytes n] [--metrics-every sec] [-v]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--unix") == 0 && i + 1 < argc) opts.unix_path = argv[++i];
+      else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc)
+        opts.tcp_port = keys::Int{.min = 0, .max = 65535}.parse(argv[++i], "--tcp");
+      else if (std::strcmp(argv[i], "--spool") == 0 && i + 1 < argc)
+        opts.spool_dir = argv[++i];
+      else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc)
+        opts.jobs = keys::Int{.min = 1}.parse(argv[++i], "-j");
+      else if (std::strcmp(argv[i], "--stats") == 0 && i + 1 < argc)
+        opts.stats_path = argv[++i];
+      else if (std::strcmp(argv[i], "--cache-bytes") == 0 && i + 1 < argc)
+        opts.cache_bytes = keys::U64{}.parse(argv[++i], "--cache-bytes");
+      else if (std::strcmp(argv[i], "--metrics-every") == 0 && i + 1 < argc)
+        opts.metrics_interval_seconds = keys::Real{.min = 0}.parse(argv[++i], "--metrics-every");
+      else if (std::strcmp(argv[i], "-v") == 0)
+        set_log_level(LogLevel::Info);
+      else {
+        std::fprintf(stderr,
+                     "usage: pdc_serve [--unix path] [--tcp port] [--spool dir] [-j n] "
+                     "[--stats path] [--cache-bytes n] [--metrics-every sec] [-v]\n");
+        return 2;
+      }
     }
-  }
-  if (opts.jobs < 1) {
-    std::fprintf(stderr, "-j wants a positive worker count\n");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "pdc_serve: %s\n", e.what());
     return 2;
   }
 

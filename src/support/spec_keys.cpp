@@ -42,9 +42,11 @@ std::vector<std::string> tokenize(const std::string& line) {
 
 int Int::parse(std::string_view text, std::string_view key) const {
   const int v = parse_number<int>(text, key);
-  if (v < min)
+  if (v >= min && v <= max) return v;
+  if (max == std::numeric_limits<int>::max())
     throw std::invalid_argument(std::string(key) + " must be >= " + std::to_string(min));
-  return v;
+  throw std::invalid_argument(std::string(key) + " must be in [" + std::to_string(min) + ", " +
+                              std::to_string(max) + "]");
 }
 
 std::uint64_t U64::parse(std::string_view text, std::string_view key) const {

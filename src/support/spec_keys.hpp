@@ -32,9 +32,10 @@ std::vector<std::string> tokenize(const std::string& line);
 // base-10 number; trailing junk, overflow and a sign on an unsigned value
 // are errors naming `key`, never a wrap.
 
-/// An int >= min.
+/// An int in [min, max].
 struct Int {
   int min = std::numeric_limits<int>::min();
+  int max = std::numeric_limits<int>::max();
   int parse(std::string_view text, std::string_view key) const;
   std::string render(int v) const { return std::to_string(v); }
 };
