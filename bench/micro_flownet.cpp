@@ -14,23 +14,24 @@
 //    class solver's payoff case (and the shape of the paper's platforms).
 //
 // Emits BENCH_flownet.json (pass a path as argv[1] to redirect). Reference
-// mode is skipped above --ref-cap flows (default 1000): the point of the
-// exercise is that the full recompute is unusable at that scale. Pass
-// --baseline=FILE (a previously emitted BENCH_flownet.json) to embed
-// before/after speedups at matched (topology, flows, mode).
+// mode is skipped above --ref-cap=N flows (default 1000; a bad N exits 2):
+// the point of the exercise is that the full recompute is unusable at that
+// scale. Pass --baseline=FILE (a previously emitted BENCH_flownet.json) to
+// embed before/after speedups at matched (topology, flows, mode).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "net/builders.hpp"
 #include "net/flow.hpp"
-#include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
+#include "support/spec_keys.hpp"
 
 namespace {
 
@@ -140,14 +141,19 @@ Result run_case(const std::string& topology, const Platform& plat, int flows, in
 int main(int argc, char** argv) {
   const char* out_path = "BENCH_flownet.json";
   std::string baseline_path;
-  int ref_cap = pdc::env_int("PDC_FLOWNET_REF_CAP", 1000);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--ref-cap=", 10) == 0)
-      ref_cap = std::atoi(argv[i] + 10);
-    else if (std::strncmp(argv[i], "--baseline=", 11) == 0)
-      baseline_path = argv[i] + 11;
-    else
-      out_path = argv[i];
+  int ref_cap = 1000;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strncmp(argv[i], "--ref-cap=", 10) == 0)
+        ref_cap = pdc::keys::Int{.min = 0}.parse(argv[i] + 10, "--ref-cap");
+      else if (std::strncmp(argv[i], "--baseline=", 11) == 0)
+        baseline_path = argv[i] + 11;
+      else
+        out_path = argv[i];
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_micro_flownet: %s\n", e.what());
+    return 2;
   }
 
   const int kFlowCounts[] = {10, 100, 1000, 10000};

@@ -17,9 +17,9 @@
 // Sizes are measured interleaved (rep-outer, size-inner, like
 // BENCH_engine) and the best rate per size is kept; bytes are taken from
 // the first rep — deployment is deterministic. Emits BENCH_scale.json
-// (argv[1] redirects). --budget-bytes-per-peer=N exits nonzero when any
-// row exceeds the budget; the bench_micro_scale_budget ctest entry pins the
-// committed budget.
+// (argv[1] redirects). --budget-bytes-per-peer=N (N > 0) exits 1 when any
+// row exceeds the budget, and 2 on a bad N; the bench_micro_scale_budget
+// ctest entry pins the committed budget.
 #include <malloc.h>
 
 #include <chrono>
@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "scenario/runner.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
+#include "support/spec_keys.hpp"
 
 namespace {
 // Live heap bytes through the replaceable global operator new/delete.
@@ -155,12 +157,18 @@ Row measure(int peers) {
 int main(int argc, char** argv) {
   using namespace pdc;
   const char* out_path = "BENCH_scale.json";
-  double budget_bytes_per_peer = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--budget-bytes-per-peer=", 24) == 0)
-      budget_bytes_per_peer = std::atof(argv[i] + 24);
-    else
-      out_path = argv[i];
+  double budget_bytes_per_peer = 0;  // 0: no budget
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strncmp(argv[i], "--budget-bytes-per-peer=", 24) == 0)
+        budget_bytes_per_peer = keys::Real{.min = 0, .above_min = true}.parse(
+            argv[i] + 24, "--budget-bytes-per-peer");
+      else
+        out_path = argv[i];
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_micro_scale: %s\n", e.what());
+    return 2;
   }
 
   const bool quick = env_flag("PDC_QUICK");

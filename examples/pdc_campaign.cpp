@@ -33,7 +33,7 @@
 //   --list       print the expanded run matrix and exit (no run)
 //   --no-resume  re-execute runs even when their record already exists
 //   --check      re-parse the emitted report JSON + CSV and fail loudly on
-//                a mismatch (used by the CI campaign-smoke job)
+//                a mismatch (ctest example_pdc_campaign_smoke uses it)
 //   --trace-dir <dir>  write a Chrome-trace JSON per executed run as
 //                <dir>/<key>.trace.json (defaults to PDC_TRACE_DIR when set;
 //                does not affect run keys, records or the report)
@@ -48,6 +48,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/executor.hpp"
@@ -82,10 +83,12 @@ int main(int argc, char** argv) {
       else if (std::strcmp(argv[i], "--check") == 0) check = true;
       else if (std::strcmp(argv[i], "--merge") == 0) merge = true;
       else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-        if (std::sscanf(argv[++i], "%d/%d", &shard_index, &shard_count) != 2) {
-          std::fprintf(stderr, "--shard wants i/n, e.g. --shard 0/4\n");
-          return 2;
-        }
+        const std::string_view shard = argv[++i];
+        const std::size_t slash = shard.find('/');
+        if (slash == std::string_view::npos)
+          throw std::invalid_argument("--shard wants i/n, e.g. --shard 0/4");
+        shard_index = keys::Int{.min = 0}.parse(shard.substr(0, slash), "--shard index");
+        shard_count = keys::Int{.min = 1}.parse(shard.substr(slash + 1), "--shard count");
       } else if (argv[i][0] == '-' && std::strcmp(argv[i], "-") != 0) {
         std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
         return 2;

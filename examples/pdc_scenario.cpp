@@ -10,7 +10,7 @@
 //   -o <path>   RunRecord JSON output path (default RUN_<name>.json)
 //   --render    print the canonical spec text and exit (no run)
 //   --check     re-parse the emitted JSON with the support reader and fail
-//               loudly if it does not round-trip (used by the CI smoke job)
+//               loudly if it does not round-trip
 //
 // PDC_QUICK=1 shrinks the default obstacle sizing for smoke runs; explicit
 // `grid` / `iters` lines in the file always win.

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "golden_file.hpp"
+
 namespace pdc::campaign {
 namespace {
 
@@ -112,11 +114,9 @@ TEST(CampaignExecutor, ShippedSmokeCampaignRunsThenResumesEverything) {
   // quick-sized 8-run grid on two workers: the first session executes every
   // run — workers first-touching the shared dPerf memos concurrently — and
   // a second session over the same directory resumes every record.
-  std::ifstream in(std::string(PDC_TEST_DATA_DIR) + "/../examples/campaigns/smoke.cmp");
-  ASSERT_TRUE(in);
-  std::stringstream text;
-  text << in.rdbuf();
-  const CampaignSpec spec = parse_campaign(text.str(), scenario::RunSpec::from_env());
+  const std::string text = read_example("campaigns/smoke.cmp");
+  ASSERT_FALSE(text.empty());
+  const CampaignSpec spec = parse_campaign(text, scenario::RunSpec::from_env());
   ScratchDir dir{"smoke"};
   ExecutorOptions opts;
   opts.jobs = 2;
@@ -133,20 +133,14 @@ TEST(CampaignExecutor, ShippedSmokeCampaignRunsThenResumesEverything) {
 
   // Every file the campaign wrote reads back: the report and each record
   // parse as JSON, and the CSV carries its 20-column header.
-  auto slurp = [](const fs::path& path) {
-    std::ifstream file(path);
-    std::stringstream body;
-    body << file.rdbuf();
-    return body.str();
-  };
-  EXPECT_NO_THROW(parse_json(slurp(dir.path / "report.json")));
+  EXPECT_NO_THROW(parse_json(read_file(dir.path / "report.json")));
   std::size_t records = 0;
   for (const auto& entry : fs::directory_iterator(dir.path / "runs")) {
-    EXPECT_NO_THROW(parse_json(slurp(entry.path()))) << entry.path();
+    EXPECT_NO_THROW(parse_json(read_file(entry.path()))) << entry.path();
     ++records;
   }
   EXPECT_EQ(records, 8u);
-  const std::string csv = slurp(dir.path / "report.csv");
+  const std::string csv = read_file(dir.path / "report.csv");
   EXPECT_EQ(csv.substr(0, csv.find('\n')),
             "campaign,point,platform,kind,peers,opt,scheme,alloc,seed,repetitions,errors,"
             "metric,n,mean,stddev,min,max,p50,p95,ci95_half");
@@ -157,15 +151,12 @@ TEST(CampaignExecutor, ShippedAnalyticAccuracyCampaignRunsThenResumes) {
   // workers: every churn point runs both-analytic and aggregates the
   // plan-vs-replay gap next to the replay's churn counters, and a second
   // session over the same directory resumes every record.
-  std::ifstream in(std::string(PDC_TEST_DATA_DIR) +
-                   "/../examples/campaigns/analytic_accuracy.cmp");
-  ASSERT_TRUE(in);
-  std::stringstream text;
-  text << in.rdbuf();
+  const std::string text = read_example("campaigns/analytic_accuracy.cmp");
+  ASSERT_FALSE(text.empty());
   scenario::RunSpec quick;
   quick.grid_n = 258;
   quick.iters = 100;
-  const CampaignSpec spec = parse_campaign(text.str(), quick);
+  const CampaignSpec spec = parse_campaign(text, quick);
   ScratchDir dir{"analytic_accuracy"};
   ExecutorOptions opts;
   opts.jobs = 2;

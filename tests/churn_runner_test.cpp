@@ -6,24 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "campaign/executor.hpp"
 #include "expect_json_equal.hpp"
+#include "golden_file.hpp"
 #include "scenario/runner.hpp"
 #include "support/json.hpp"
 
 namespace pdc::scenario {
 namespace {
-
-std::string read_example(const std::string& relative) {
-  std::ifstream in(std::string(PDC_TEST_DATA_DIR) + "/../examples/" + relative);
-  std::stringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 /// The PDC_QUICK sizing the shipped examples are smoke-run at.
 RunSpec quick_base() {
@@ -219,7 +211,7 @@ TEST(ChurnCampaign, ChurnRateSweepIsDeterministicAcrossJobs) {
 TEST(ChurnSmoke, ShippedChurnSweepRunsSixRunsWithoutErrors) {
   namespace fs = std::filesystem;
   const CampaignSpec spec =
-      parse_campaign(scenario::read_example("campaigns/churn_sweep.cmp"), scenario::quick_base());
+      parse_campaign(read_example("campaigns/churn_sweep.cmp"), scenario::quick_base());
   const fs::path dir = fs::path("churn_smoke_out");
   fs::remove_all(dir);
   ExecutorOptions opts;
@@ -232,10 +224,7 @@ TEST(ChurnSmoke, ShippedChurnSweepRunsSixRunsWithoutErrors) {
   EXPECT_EQ(report.errors, 0u);
   std::size_t records = 0;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir / "runs")) {
-    std::ifstream in(entry.path());
-    std::stringstream text;
-    text << in.rdbuf();
-    EXPECT_NO_THROW(parse_json(text.str())) << entry.path();
+    EXPECT_NO_THROW(parse_json(read_file(entry.path()))) << entry.path();
     ++records;
   }
   EXPECT_EQ(records, 6u);

@@ -25,7 +25,11 @@ SERVE_CASES = [
     ["--metrics-every", "inf"],
 ]
 CLIENT_CASES = [["--tcp", "x"], ["--tcp", "80a"], ["--tcp", "70000"]]
-CAMPAIGN_CASES = [["-j", "0"], ["-j", "x"], ["-j", "4x"], ["-j", "4294967296"]]
+CAMPAIGN_CASES = [
+    ["-j", "0"], ["-j", "x"], ["-j", "4x"], ["-j", "4294967296"],
+    ["--shard", "0/2x"], ["--shard", "1/2/7"], ["--shard", "/2"], ["--shard", "1/"],
+    ["--shard", "a/2"], ["--shard", "2/2"],
+]
 
 failures = []
 

@@ -1,6 +1,7 @@
-// Shared test helper for committed golden files under tests/golden/: the
-// byte comparison (PDC_UPDATE_GOLDEN=1 rewrites the file instead) and the
-// one-line digest of a dPerf rank-trace set that the trace goldens pin.
+// Shared test helpers for committed files: the one file reader, the shipped
+// examples/ files, the byte comparison against goldens under tests/golden/
+// (PDC_UPDATE_GOLDEN=1 rewrites the file instead) and the one-line digest of
+// a dPerf rank-trace set that the trace goldens pin.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -22,12 +23,18 @@ inline std::string golden_path(const char* name) {
   return std::string(PDC_TEST_DATA_DIR) + "/golden/" + name;
 }
 
+/// The whole file, or "" when it cannot be opened.
 inline std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return "";
   std::stringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// A shipped file under examples/, e.g. "scenarios/churn_smoke.scn".
+inline std::string read_example(const std::string& relative) {
+  return read_file(std::string(PDC_TEST_DATA_DIR) + "/../examples/" + relative);
 }
 
 inline void check_against_golden(const std::string& produced, const char* name) {

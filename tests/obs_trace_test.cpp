@@ -2,7 +2,8 @@
 // valid Chrome trace-event JSON (sync spans nest, per-track timestamps are
 // monotone), a tiny deterministic scenario reproduces its committed golden
 // byte for byte (also under concurrency — campaign -j must not change what
-// any single run records), and tracing leaves the RunRecord untouched.
+// any single run records), tracing leaves the RunRecord untouched, and the
+// shipped churn scenario traced through PDC_TRACE_DIR shows its failures.
 //
 // Regenerate the golden after an intentional format change with:
 //   PDC_UPDATE_GOLDEN=1 ./build/tests/obs_trace_test
@@ -11,17 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "golden_file.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
-#include "support/env.hpp"
 #include "support/json.hpp"
 
 namespace pdc {
@@ -53,11 +54,9 @@ std::string run_traced(const std::string& path) {
   spec.run.trace_path = path;
   const scenario::RunRecord rec = scenario::Runner{std::move(spec)}.try_run();
   EXPECT_TRUE(rec.ok()) << rec.error;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "trace file not written: " << path;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  const std::string text = read_file(path);
+  EXPECT_FALSE(text.empty()) << "trace file not written: " << path;
+  return text;
 }
 
 struct ParsedEvent {
@@ -163,6 +162,12 @@ void check_validity(const std::string& text) {
     EXPECT_EQ(depth, 0) << "unclosed span on track " << track.second;
 }
 
+bool has_event(const std::vector<ParsedEvent>& events, char ph, const std::string& name) {
+  for (const ParsedEvent& e : events)
+    if (e.ph == ph && e.name == name) return true;
+  return false;
+}
+
 TEST(ObsTrace, TracedRunIsValidAndCoversSubsystems) {
   const std::string path = "obs_trace_test_run.trace.json";
   const std::string text = run_traced(path);
@@ -170,11 +175,7 @@ TEST(ObsTrace, TracedRunIsValidAndCoversSubsystems) {
   check_validity(text);
 
   const std::vector<ParsedEvent> events = parse_events(text);
-  auto has = [&](char ph, const std::string& name) {
-    for (const ParsedEvent& e : events)
-      if (e.ph == ph && e.name == name) return true;
-    return false;
-  };
+  auto has = [&](char ph, const std::string& name) { return has_event(events, ph, name); };
   EXPECT_TRUE(has('B', "reference"));
   EXPECT_TRUE(has('B', "predicted"));
   EXPECT_TRUE(has('B', "collection"));
@@ -193,23 +194,7 @@ TEST(ObsTrace, GoldenTraceIsByteStable) {
   const std::string path = "obs_trace_test_golden.trace.json";
   const std::string produced = run_traced(path);
   std::remove(path.c_str());
-
-  const std::string golden =
-      std::string(PDC_TEST_DATA_DIR) + "/golden/tiny.trace.json";
-  if (env_flag("PDC_UPDATE_GOLDEN")) {
-    std::ofstream out(golden, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << golden;
-    out << produced;
-    GTEST_SKIP() << "golden updated: " << golden;
-  }
-  std::ifstream in(golden, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden " << golden
-                         << " (run with PDC_UPDATE_GOLDEN=1 to create it)";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(produced, buf.str())
-      << "trace drifted from the committed golden; if the format change is "
-         "intentional, regenerate with PDC_UPDATE_GOLDEN=1 and review the diff";
+  check_against_golden(produced, "tiny.trace.json");
 }
 
 // The thread_local recorder install is what campaign -j relies on: two runs
@@ -253,8 +238,33 @@ TEST(ObsTrace, TracingDoesNotChangeTheRunRecord) {
 TEST(ObsTrace, NoRecorderMeansNoFile) {
   const scenario::RunRecord rec = scenario::Runner{tiny_spec()}.try_run();
   ASSERT_TRUE(rec.ok()) << rec.error;
-  std::ifstream in("obs-tiny.trace.json");
-  EXPECT_FALSE(in.good());
+  EXPECT_FALSE(std::filesystem::exists("obs-tiny.trace.json"));
+}
+
+// examples/scenarios/churn_smoke.scn at quick sizing, traced the way its
+// README line traces it: PDC_TRACE_DIR names a directory and the file is
+// named after the scenario. The document is valid, and the simulated
+// failures are instants: crash-tracker from the injector and rejoin from
+// the zone failover it forces.
+TEST(ObsTrace, ShippedChurnScenarioTracedThroughEnv) {
+  scenario::RunSpec quick;
+  quick.grid_n = 258;
+  quick.iters = 100;
+  const scenario::ScenarioSpec spec =
+      scenario::parse_scenario(read_example("scenarios/churn_smoke.scn"), quick);
+  const std::filesystem::path dir = "obs_trace_test_env";
+  std::filesystem::remove_all(dir);
+  ::setenv("PDC_TRACE_DIR", dir.c_str(), 1);
+  const scenario::RunRecord rec = scenario::Runner{spec}.try_run();
+  ::unsetenv("PDC_TRACE_DIR");
+  const std::string text = read_file(dir / (spec.name + ".trace.json"));
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(rec.ok()) << rec.error;
+  ASSERT_FALSE(text.empty()) << "PDC_TRACE_DIR run wrote no trace file";
+  check_validity(text);
+  const std::vector<ParsedEvent> events = parse_events(text);
+  EXPECT_TRUE(has_event(events, 'i', "crash-tracker"));
+  EXPECT_TRUE(has_event(events, 'i', "rejoin"));
 }
 
 }  // namespace

@@ -8,10 +8,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
+#include "golden_file.hpp"
 #include "scenario/runner.hpp"
 #include "support/json.hpp"
 
@@ -32,12 +31,10 @@ TEST(ScenarioSmoke, EveryShippedScenarioRunsClean) {
   ASSERT_FALSE(files.empty());
   for (const fs::path& file : files) {
     SCOPED_TRACE(file.filename().string());
-    std::ifstream in(file);
-    std::stringstream text;
-    text << in.rdbuf();
     // Checked on the record's JSON, read back through the support reader,
     // as `pdc_scenario --check` emits it.
-    const JsonValue doc = parse_json(Runner{parse_scenario(text.str(), base)}.try_run().to_json());
+    const JsonValue doc =
+        parse_json(Runner{parse_scenario(read_file(file), base)}.try_run().to_json());
     EXPECT_FALSE(doc.has("error")) << doc.at("error").as_string();
     int executed = 0;
     for (const char* phase : {"reference", "predicted"}) {

@@ -5,10 +5,9 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "campaign/spec.hpp"
+#include "golden_file.hpp"
 
 namespace pdc::scenario {
 namespace {
@@ -175,18 +174,16 @@ TEST(ScenarioSpec, ShippedFilesRenderToFixpoint) {
   for (const char* dir : {"scenarios", "campaigns"}) {
     for (const fs::directory_entry& entry : fs::directory_iterator(examples / dir)) {
       const fs::path& path = entry.path();
-      std::ifstream in(path);
-      std::stringstream text;
-      text << in.rdbuf();
+      const std::string text = read_file(path);
       std::string first, second;
       Mode mode;
       if (path.extension() == ".scn") {
-        const ScenarioSpec spec = parse_scenario(text.str());
+        const ScenarioSpec spec = parse_scenario(text);
         first = render_scenario(spec);
         second = render_scenario(parse_scenario(first));
         mode = spec.run.mode;
       } else if (path.extension() == ".cmp") {
-        const campaign::CampaignSpec spec = campaign::parse_campaign(text.str());
+        const campaign::CampaignSpec spec = campaign::parse_campaign(text);
         first = campaign::render_campaign(spec);
         second = campaign::render_campaign(campaign::parse_campaign(first));
         mode = spec.base.run.mode;

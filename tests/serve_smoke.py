@@ -7,10 +7,14 @@ One daemon on a Unix socket and a spool directory, at PDC_QUICK sizing:
   - the same scenario twice: the client sees a miss, then a byte-identical hit;
   - STATS counts one hit, one miss and at least one trace set in the memos;
   - a scenario dropped into the spool is answered in spool/out/;
+  - the METRICS answer, and the spool/out/metrics.prom snapshot that
+    --metrics-every writes, are Prometheus text carrying the request counter
+    and the miss-latency histogram;
   - SIGTERM drains the daemon, which exits 0 and writes its final stats.
 """
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -42,13 +46,35 @@ def check(cond, what):
         sys.exit(f"check failed: {what}")
 
 
+NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+SAMPLE = re.compile(rf"{NAME}(\{{[^}}]*\}})? (\S+)")
+
+
+def check_exposition(text, where):
+    lines = [line for line in text.splitlines() if line]
+    check(lines, f"{where}: empty exposition")
+    for line in lines:
+        if line.startswith("#"):
+            check(re.match(rf"# (HELP|TYPE) {NAME} ", line), f"{where}: bad comment {line!r}")
+            continue
+        m = SAMPLE.fullmatch(line)
+        check(m, f"{where}: bad sample {line!r}")
+        try:
+            float(m.group(2))
+        except ValueError:
+            check(False, f"{where}: bad value {line!r}")
+    for family in ("pdc_serve_requests_total", "pdc_serve_latency_miss_seconds_bucket"):
+        check(family in text, f"{where}: no {family}")
+
+
 with tempfile.TemporaryDirectory() as tmp:
     sock = os.path.join(tmp, "pdc.sock")
     spool = os.path.join(tmp, "spool")
     final_stats = os.path.join(tmp, "final_stats.json")
     with open(os.path.join(tmp, "serve.log"), "w+") as log:
         daemon = subprocess.Popen(
-            [serve, "--unix", sock, "--spool", spool, "--stats", final_stats],
+            [serve, "--unix", sock, "--spool", spool, "--stats", final_stats,
+             "--metrics-every", "0.5"],
             env=env, stdout=log, stderr=subprocess.STDOUT)
         try:
             wait_for(sock, 10)
@@ -60,6 +86,7 @@ with tempfile.TemporaryDirectory() as tmp:
             check(stats["cache"]["hits"] == 1, f"one cache hit: {stats['cache']}")
             check(stats["cache"]["misses"] == 1, f"one cache miss: {stats['cache']}")
             check(stats["memos"]["trace_sets"] >= 1, f"a trace set in the memos: {stats['memos']}")
+            check_exposition(run_client(sock, "metrics").decode(), "METRICS")
 
             with open(scenario) as src, open(os.path.join(spool, "job.scn.part"), "w") as dst:
                 dst.write(src.read())
@@ -84,4 +111,6 @@ with tempfile.TemporaryDirectory() as tmp:
     check(stats["spool_jobs"] == 1, f"one spool job: {stats}")
     check(stats["in_flight"] == 0, f"nothing in flight: {stats}")
     check(stats["errors"] == 0, f"no errors: {stats}")
+    with open(os.path.join(spool, "out", "metrics.prom")) as f:
+        check_exposition(f.read(), "metrics.prom")
 print("serve round trip ok")
