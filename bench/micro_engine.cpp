@@ -27,8 +27,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,6 +34,7 @@
 #include "sim/mailbox.hpp"
 #include "sim/process.hpp"
 #include "support/env.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 
 namespace {
@@ -257,12 +256,7 @@ int main(int argc, char** argv) {
 
   // Optional before/after comparison against a previously emitted file.
   JsonValue baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    baseline = parse_json(buf.str());
-  }
+  if (!baseline_path.empty()) baseline = parse_json(read_file(baseline_path).value_or(""));
   auto baseline_rate = [&baseline](const std::string& name) -> double {
     if (!baseline.has("workloads")) return 0;
     for (const JsonValue& w : baseline.at("workloads").as_array())

@@ -21,14 +21,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "net/builders.hpp"
 #include "net/flow.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/spec_keys.hpp"
@@ -175,12 +174,8 @@ int main(int argc, char** argv) {
 
   // Optional before/after comparison against a previously emitted file.
   pdc::JsonValue baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    baseline = pdc::parse_json(buf.str());
-  }
+  if (!baseline_path.empty())
+    baseline = pdc::parse_json(pdc::read_file(baseline_path).value_or(""));
   auto baseline_rate = [&baseline](const Result& r) -> double {
     if (!baseline.has("results")) return 0;
     for (const pdc::JsonValue& b : baseline.at("results").as_array())

@@ -12,14 +12,14 @@
 // predictions are fig11.cmp's cells.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/executor.hpp"
 #include "support/env.hpp"
+#include "support/file.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -48,15 +48,13 @@ struct Sweep {
 
 Sweep run_campaign_file(const char* name) {
   const std::string path = std::string(PDC_CAMPAIGN_DIR) + "/" + name + ".cmp";
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::stringstream text;
-  text << in.rdbuf();
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw std::runtime_error("cannot open " + path);
   campaign::ExecutorOptions opts;
   opts.jobs = env_int("PDC_CAMPAIGN_JOBS", 1);
   opts.progress = true;
   campaign::Executor executor{
-      campaign::parse_campaign(text.str(), scenario::RunSpec::from_env()), opts};
+      campaign::parse_campaign(*text, scenario::RunSpec::from_env()), opts};
   executor.execute();
   for (const campaign::Outcome& out : executor.outcomes())
     if (!out.ok()) throw std::runtime_error("run " + out.run.key + " failed: " + out.error);

@@ -43,8 +43,8 @@
 // (`campaign done: ...` / `campaign merged: ...`) is stable for scripting.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -53,6 +53,7 @@
 
 #include "campaign/executor.hpp"
 #include "support/env.hpp"
+#include "support/file.hpp"
 #include "support/spec_keys.hpp"
 #include "support/table.hpp"
 
@@ -127,15 +128,11 @@ int main(int argc, char** argv) {
     std::stringstream buf;
     buf << std::cin.rdbuf();
     text = buf.str();
+  } else if (std::optional<std::string> file = read_file(spec_path)) {
+    text = std::move(*file);
   } else {
-    std::ifstream in(spec_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open campaign file '%s'\n", spec_path);
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    text = buf.str();
+    std::fprintf(stderr, "cannot open campaign file '%s'\n", spec_path);
+    return 1;
   }
 
   campaign::CampaignSpec spec;

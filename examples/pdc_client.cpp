@@ -27,13 +27,14 @@
 // stdout clean JSON for piping.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "serve/protocol.hpp"
+#include "support/file.hpp"
 #include "support/socket.hpp"
 #include "support/spec_keys.hpp"
 
@@ -76,14 +77,12 @@ int main(int argc, char** argv) {
       buf << std::cin.rdbuf();
       req.body = buf.str();
     } else {
-      std::ifstream in(arg);
-      if (!in) {
+      std::optional<std::string> file = read_file(arg);
+      if (!file) {
         std::fprintf(stderr, "cannot open '%s'\n", arg);
         return 1;
       }
-      std::stringstream buf;
-      buf << in.rdbuf();
-      req.body = buf.str();
+      req.body = std::move(*file);
       const char* dot = std::strrchr(arg, '.');
       cmp = cmp || (dot != nullptr && std::strcmp(dot, ".cmp") == 0);
     }

@@ -18,9 +18,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "scenario/runner.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
 
@@ -52,15 +54,11 @@ int main(int argc, char** argv) {
     std::stringstream buf;
     buf << std::cin.rdbuf();
     text = buf.str();
+  } else if (std::optional<std::string> file = read_file(spec_path)) {
+    text = std::move(*file);
   } else {
-    std::ifstream in(spec_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open scenario file '%s'\n", spec_path);
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    text = buf.str();
+    std::fprintf(stderr, "cannot open scenario file '%s'\n", spec_path);
+    return 1;
   }
 
   scenario::ScenarioSpec spec;

@@ -1,7 +1,7 @@
 // pdc_serve: the resident prediction daemon — prediction-as-a-service over
 // the scenario/campaign machinery. Boots once, keeps the dPerf cost-profile
 // and trace memos hot, memoizes complete answers in a byte-budgeted LRU
-// cache (PDC_SERVE_CACHE_BYTES), and serves `.scn` / `.cmp` requests over a
+// cache (--cache-bytes), and serves `.scn` / `.cmp` requests over a
 // Unix socket, loopback TCP and/or a watched spool directory until told to
 // stop. See examples/README.md "Serving & sharding" and serve/protocol.hpp
 // for the wire format; examples/pdc_client.cpp is the matching client.
@@ -19,7 +19,10 @@
 //                     in <dir>/out/<name>.json
 //   -j <n>            concurrent request workers (default 1)
 //   --stats <path>    write the final ServeStats JSON here on shutdown
-//   --cache-bytes <n> memo-cache byte budget (overrides PDC_SERVE_CACHE_BYTES)
+//   --cache-bytes <n> response-cache byte budget (default: the
+//                     PDC_SERVE_CACHE_BYTES environment variable, else 64 MiB;
+//                     0 keeps no answer). Both parse as an unsigned 64-bit
+//                     count; a malformed or negative value exits 2.
 //   --metrics-every <sec>  cadence of the <spool>/out/metrics.prom Prometheus
 //                     snapshot (default 60; 0 disables; needs --spool)
 //   -v                log protocol activity to stderr
@@ -35,6 +38,7 @@
 
 #include "scenario/spec.hpp"
 #include "serve/server.hpp"
+#include "support/env.hpp"
 #include "support/log.hpp"
 #include "support/spec_keys.hpp"
 
@@ -49,6 +53,8 @@ int main(int argc, char** argv) {
   opts.base = scenario::RunSpec::from_env();
   opts.stop_flag = &g_stop;
   try {
+    if (const std::string knob = env_str("PDC_SERVE_CACHE_BYTES"); !knob.empty())
+      opts.cache_bytes = keys::U64{}.parse(knob, "PDC_SERVE_CACHE_BYTES");
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--unix") == 0 && i + 1 < argc) opts.unix_path = argv[++i];
       else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc)

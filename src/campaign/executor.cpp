@@ -3,13 +3,13 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 
 #include "support/csv.hpp"
+#include "support/file.hpp"
 #include "support/log.hpp"
 #include "support/thread_pool.hpp"
 
@@ -18,19 +18,6 @@ namespace pdc::campaign {
 namespace fs = std::filesystem;
 
 namespace {
-
-/// Temp-write + rename so a killed campaign never leaves a truncated file
-/// that a later resume would trust.
-void write_file_atomic(const fs::path& path, const std::string& content) {
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write '" + tmp.string() + "'");
-    out << content;
-    if (!out) throw std::runtime_error("short write to '" + tmp.string() + "'");
-  }
-  fs::rename(tmp, path);
-}
 
 void metric_json(JsonWriter& w, const Summary& s) {
   w.begin_object();
@@ -126,15 +113,6 @@ bool load_record_text(const std::string& text, const CampaignRun& run, Outcome& 
   }
 }
 
-bool read_file(const fs::path& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
 /// A worker killed mid-write leaves runs/<key>.json.tmp behind; the rename
 /// protocol already keeps such torn files out of resume's sight, and this
 /// sweep keeps them from accumulating. Only *.tmp leftovers are touched —
@@ -164,11 +142,10 @@ std::string Executor::record_path(const CampaignRun& run) const {
 
 bool Executor::try_resume(const CampaignRun& run, Outcome& out) const {
   if (opts_.out_dir.empty() || !opts_.resume) return false;
-  std::string text;
-  if (!read_file(record_path(run), text)) return false;
+  const std::optional<std::string> text = read_file(record_path(run));
   // Only a complete, matching, successful record counts as done; failed
   // or foreign records are re-executed.
-  return load_record_text(text, run, out, /*accept_errors=*/false);
+  return text && load_record_text(*text, run, out, /*accept_errors=*/false);
 }
 
 void Executor::execute_one(const CampaignRun& run, Outcome& out) const {
@@ -240,15 +217,11 @@ CampaignReport Executor::execute() {
                  out.ok() ? "ok" : ("ERROR " + out.error).c_str(), out.wall_seconds);
   };
 
-  if (opts_.jobs <= 1) {
-    // Inline sequential execution: no pool, no thread — bit-for-bit the
-    // same behaviour as driving the Runner directly in a loop.
-    for (std::size_t idx : pending) work(idx);
-  } else {
-    ThreadPool pool(opts_.jobs);
-    for (std::size_t idx : pending) pool.submit([&work, idx] { work(idx); });
-    pool.wait_idle();
-  }
+  // The pool clamps jobs <= 1 to one worker, so -j1 takes the -j N path and
+  // runs the matrix in order.
+  ThreadPool pool(opts_.jobs);
+  for (std::size_t idx : pending) pool.submit([&work, idx] { work(idx); });
+  pool.wait_idle();
 
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -293,9 +266,9 @@ CampaignReport Executor::merge(const std::vector<std::string>& input_dirs) {
     out.run = runs_[i];
     bool found = false;
     for (const fs::path& path : candidate_paths(runs_[i])) {
-      std::string text;
-      if (!read_file(path, text)) continue;
-      if (load_record_text(text, runs_[i], out, /*accept_errors=*/true)) {
+      const std::optional<std::string> text = read_file(path);
+      if (!text) continue;
+      if (load_record_text(*text, runs_[i], out, /*accept_errors=*/true)) {
         found = true;
         break;
       }

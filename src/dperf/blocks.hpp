@@ -34,12 +34,6 @@ struct InstrumentedProgram {
   minic::Program program;           // the transformed AST
   std::vector<BlockInfo> blocks;
   int iter_loops = 0;               // number of marked outer comm loops
-
-  const BlockInfo* block(int id) const {
-    for (const auto& b : blocks)
-      if (b.id == id) return &b;
-    return nullptr;
-  }
 };
 
 /// Clones and instruments a program. The input must be semantically valid.

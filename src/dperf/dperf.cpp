@@ -25,26 +25,24 @@ Dperf::Dperf(const std::string& source, DperfOptions options) : options_(options
 }
 
 BlockTimings Dperf::benchmark(const Workload& workload, int rank, int nprocs) const {
-  return benchmark_blocks(program_, inst_.blocks, workload, options_.ref_host_hz, rank, nprocs);
+  return benchmark_blocks(program_, inst_.blocks, workload, kRefHostHz, rank, nprocs);
 }
 
 Trace Dperf::trace_for_rank(const Workload& full, int rank, int nprocs) const {
-  const auto idx = static_cast<std::size_t>(options_.iters_param_index);
   // Programs without marked communication loops (or without an iteration
   // parameter) have nothing to sample and scale: trace the full run.
-  if (inst_.iter_loops == 0 || idx >= full.int_params.size())
-    return generate_trace(program_, full, rank, nprocs, options_.ref_host_hz);
-  const int target = static_cast<int>(full.int_params[idx]);
+  if (inst_.iter_loops == 0 || kItersParamIndex >= full.int_params.size())
+    return generate_trace(program_, full, rank, nprocs, kRefHostHz);
+  const int target = static_cast<int>(full.int_params[kItersParamIndex]);
   int sample = std::min(options_.sample_iters, target);
   // Keep the extrapolation preconditions: sample >= 3*chunk and
   // (target - sample) divisible by chunk.
   if (target <= 3 * options_.chunk || sample < 3 * options_.chunk)
-    return generate_trace(program_, full, rank, nprocs, options_.ref_host_hz);
+    return generate_trace(program_, full, rank, nprocs, kRefHostHz);
   sample = 3 * options_.chunk + (target - 3 * options_.chunk) % options_.chunk;
   Workload sampled_workload = full;
-  sampled_workload.int_params[idx] = sample;
-  Trace sampled =
-      generate_trace(program_, sampled_workload, rank, nprocs, options_.ref_host_hz);
+  sampled_workload.int_params[kItersParamIndex] = sample;
+  Trace sampled = generate_trace(program_, sampled_workload, rank, nprocs, kRefHostHz);
   return extrapolate(sampled, sample, target, options_.chunk);
 }
 

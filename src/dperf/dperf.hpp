@@ -12,6 +12,7 @@
 // every rank's trace run that one IrProgram in a fresh VM.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,12 +25,17 @@
 
 namespace pdc::dperf {
 
+/// Frequency of the measurement platform: block timings and trace compute
+/// segments are in cycles of a host at this speed.
+inline constexpr double kRefHostHz = 3e9;
+/// The int workload parameter that is the outer trip count (the kernel's
+/// `iters`).
+inline constexpr std::size_t kItersParamIndex = 1;
+
 struct DperfOptions {
   ir::OptLevel level = ir::OptLevel::O0;
-  double ref_host_hz = 3e9;   // frequency of the measurement platform
-  int iters_param_index = 1;  // which int workload parameter is the outer trip count
-  int sample_iters = 75;      // iterations actually executed when tracing
-  int chunk = 25;             // steady-state replication unit (>= residual period)
+  int sample_iters = 75;  // iterations actually executed when tracing
+  int chunk = 25;         // steady-state replication unit (>= residual period)
 };
 
 class Dperf {

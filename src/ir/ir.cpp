@@ -1,7 +1,5 @@
 #include "ir/ir.hpp"
 
-#include <sstream>
-
 namespace pdc::ir {
 
 const char* op_name(Op op) {
@@ -106,28 +104,6 @@ std::size_t IrFunction::instr_count() const {
   return n;
 }
 
-std::string IrFunction::to_string() const {
-  std::ostringstream out;
-  out << "func " << name << " (params=" << num_params << ", regs=" << num_regs << ")\n";
-  for (const BasicBlock& b : blocks) {
-    out << " b" << b.id << ":\n";
-    for (const Instr& in : b.instrs) {
-      out << "   " << op_name(in.op);
-      if (in.dst >= 0) out << " r" << in.dst;
-      if (in.a >= 0) out << ", r" << in.a;
-      if (in.b >= 0) out << ", r" << in.b;
-      if (in.op == Op::ConstI) out << " #" << in.imm_i;
-      if (in.op == Op::ConstF) out << " #" << in.imm_f;
-      if (in.slot >= 0) out << " @" << in.slot;
-      if (!in.sym.empty()) out << " '" << in.sym << "'";
-      if (in.op == Op::Jump) out << " -> b" << in.t1;
-      if (in.op == Op::CJump) out << " ? b" << in.t1 << " : b" << in.t2;
-      out << "\n";
-    }
-  }
-  return out.str();
-}
-
 IrFunction* IrProgram::find(const std::string& name) {
   for (auto& f : functions)
     if (f.name == name) return &f;
@@ -138,12 +114,6 @@ const IrFunction* IrProgram::find(const std::string& name) const {
   for (const auto& f : functions)
     if (f.name == name) return &f;
   return nullptr;
-}
-
-std::string IrProgram::to_string() const {
-  std::string out;
-  for (const auto& f : functions) out += f.to_string() + "\n";
-  return out;
 }
 
 std::size_t IrProgram::instr_count() const {

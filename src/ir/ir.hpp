@@ -96,7 +96,6 @@ struct IrFunction {
   int num_regs = 0;
 
   int new_reg() { return num_regs++; }
-  std::string to_string() const;
 
   /// Successor block ids of block `b`.
   std::vector<int> successors(int b) const;
@@ -109,7 +108,6 @@ struct IrProgram {
 
   IrFunction* find(const std::string& name);
   const IrFunction* find(const std::string& name) const;
-  std::string to_string() const;
   std::size_t instr_count() const;
 };
 

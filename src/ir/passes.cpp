@@ -19,21 +19,6 @@ struct ConstVal {
   double f = 0;
 };
 
-bool reads(const Instr& in, int reg) {
-  if (in.a == reg || in.b == reg) return true;
-  for (int arg : in.args)
-    if (arg == reg) return true;
-  return false;
-}
-
-/// Replaces register uses (not definitions).
-void replace_uses(Instr& in, int from, int to) {
-  if (in.a == from) in.a = to;
-  if (in.b == from) in.b = to;
-  for (int& arg : in.args)
-    if (arg == from) arg = to;
-}
-
 std::optional<ConstVal> eval_unary(const Instr& in, const ConstVal& a) {
   ConstVal r;
   r.type = in.type;

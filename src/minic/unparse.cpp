@@ -206,12 +206,6 @@ void emit_stmt(const Stmt& s, std::string& out, int depth) {
 
 }  // namespace
 
-std::string unparse_expr(const Expr& e) {
-  std::string out;
-  emit_expr(e, out, 0);
-  return out;
-}
-
 std::string unparse(const Program& program) {
   std::string out;
   for (const Function& f : program.functions) {

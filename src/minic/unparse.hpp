@@ -12,6 +12,5 @@
 namespace pdc::minic {
 
 std::string unparse(const Program& program);
-std::string unparse_expr(const Expr& e);
 
 }  // namespace pdc::minic

@@ -140,10 +140,6 @@ Platform build_daisy(const DaisySpec& spec, Rng& rng) {
   return p;
 }
 
-int federation_host_count(const FederationSpec& spec) {
-  return spec.clusters * spec.hosts_per_cluster;
-}
-
 Platform build_federation(const FederationSpec& spec) {
   Platform p;
   const NodeIdx core = p.add_router("fed-core");

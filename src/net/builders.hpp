@@ -82,7 +82,6 @@ struct FederationSpec {
 };
 
 Platform build_federation(const FederationSpec& spec);
-int federation_host_count(const FederationSpec& spec);
 
 /// Random WAN with heterogeneous CPUs: `routers` core routers joined by a
 /// random spanning tree plus `extra_links` shortcut links, and `hosts` end

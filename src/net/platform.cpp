@@ -68,15 +68,6 @@ bool Platform::enable_hierarchical_routing(LinkIdx trunk) {
   return true;
 }
 
-void Platform::set_route_cache_capacity(std::size_t capacity) {
-  route_cache_capacity_ = std::max<std::size_t>(capacity, 2);
-  while (route_cache_.size() > route_cache_capacity_) {
-    route_cache_.erase(cache_lru_.back().key);
-    cache_lru_.pop_back();
-    ++stats_.cache_evictions;
-  }
-}
-
 RouteStats Platform::route_stats() const {
   RouteStats s = stats_;
   s.cache_entries = route_cache_.size();
@@ -93,13 +84,14 @@ const Route& Platform::route(NodeIdx src, NodeIdx dst) const {
   }
   const bool hier = hier_ && static_cast<std::size_t>(src) < access_.size() &&
                     static_cast<std::size_t>(dst) < access_.size();
-  Route r = hier ? compute_hier_route(src, dst) : compute_bfs_route(src, dst);
+  Route r = hier ? compute_hier_route(src, dst)
+                 : compute_bfs_route(src, dst, /*routers_only=*/false);
   ++stats_.routes_computed;
   return cache_insert(key, std::move(r));
 }
 
 const Route& Platform::cache_insert(std::uint64_t key, Route r) const {
-  while (route_cache_.size() >= route_cache_capacity_ && !cache_lru_.empty()) {
+  while (route_cache_.size() >= kRouteCacheCapacity && !cache_lru_.empty()) {
     route_cache_.erase(cache_lru_.back().key);
     cache_lru_.pop_back();
     ++stats_.cache_evictions;
@@ -143,9 +135,8 @@ Route Platform::compute_hier_route(NodeIdx src, NodeIdx dst) const {
   return r;
 }
 
-// Router-only BFS, cached under the router pair. Hosts are degree-1 leaves,
-// so skipping their edges leaves the BFS discovery order of routers — and
-// therefore the deterministic tie-breaking — identical to a full-graph BFS.
+// Router-core path, cached under the router pair. Callers pass distinct
+// routers (rs != rd).
 Route Platform::compute_core_route(NodeIdx src, NodeIdx dst) const {
   const std::uint64_t key = pair_key(src, dst);
   if (auto it = route_cache_.find(key); it != route_cache_.end()) {
@@ -153,42 +144,16 @@ Route Platform::compute_core_route(NodeIdx src, NodeIdx dst) const {
     cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
     return it->second->route;  // copied into the caller's assembly below
   }
-  if (src == dst) return Route{};
-  std::vector<int> via_edge(nodes_.size(), -1);
-  std::vector<NodeIdx> parent(nodes_.size(), -1);
-  std::deque<NodeIdx> frontier{src};
-  parent[static_cast<std::size_t>(src)] = src;
-  while (!frontier.empty()) {
-    const NodeIdx n = frontier.front();
-    frontier.pop_front();
-    if (n == dst) break;
-    for (int e : adjacency_[static_cast<std::size_t>(n)]) {
-      const Edge& edge = edges_[static_cast<std::size_t>(e)];
-      const NodeIdx next = edge.a == n ? edge.b : edge.a;
-      if (nodes_[static_cast<std::size_t>(next)].is_host) continue;
-      if (parent[static_cast<std::size_t>(next)] != -1) continue;
-      parent[static_cast<std::size_t>(next)] = n;
-      via_edge[static_cast<std::size_t>(next)] = e;
-      frontier.push_back(next);
-    }
-  }
-  if (parent[static_cast<std::size_t>(dst)] == -1)
-    throw std::runtime_error("Platform::route: no path from " +
-                             nodes_[static_cast<std::size_t>(src)].name + " to " +
-                             nodes_[static_cast<std::size_t>(dst)].name);
-  Route r;
-  for (NodeIdx n = dst; n != src; n = parent[static_cast<std::size_t>(n)]) {
-    const Edge& edge = edges_[static_cast<std::size_t>(via_edge[static_cast<std::size_t>(n)])];
-    const int dir = edge.b == n ? 0 : 1;
-    r.hops.push_back(Hop{edge.link, dir});
-    r.latency += links_[static_cast<std::size_t>(edge.link)].latency;
-  }
-  std::reverse(r.hops.begin(), r.hops.end());
+  Route r = compute_bfs_route(src, dst, /*routers_only=*/true);
   ++stats_.routes_computed;
   return cache_insert(key, std::move(r));
 }
 
-Route Platform::compute_bfs_route(NodeIdx src, NodeIdx dst) const {
+// Hop-count BFS, tie-broken by edge insertion order. With `routers_only`
+// host edges are skipped; hosts are degree-1 leaves, so the BFS discovery
+// order of routers — and therefore the tie-breaking — is identical to a
+// full-graph BFS.
+Route Platform::compute_bfs_route(NodeIdx src, NodeIdx dst, bool routers_only) const {
   if (src == dst) return Route{};
   std::vector<int> via_edge(nodes_.size(), -1);
   std::vector<NodeIdx> parent(nodes_.size(), -1);
@@ -201,6 +166,7 @@ Route Platform::compute_bfs_route(NodeIdx src, NodeIdx dst) const {
     for (int e : adjacency_[static_cast<std::size_t>(n)]) {
       const Edge& edge = edges_[static_cast<std::size_t>(e)];
       const NodeIdx next = edge.a == n ? edge.b : edge.a;
+      if (routers_only && nodes_[static_cast<std::size_t>(next)].is_host) continue;
       if (parent[static_cast<std::size_t>(next)] != -1) continue;
       parent[static_cast<std::size_t>(next)] = n;
       via_edge[static_cast<std::size_t>(next)] = e;

@@ -108,9 +108,6 @@ class Platform {
   bool hierarchical_routing() const { return hier_; }
   LinkIdx trunk_link() const { return trunk_; }
 
-  /// Caps the number of cached computed routes (minimum 2, so expressions
-  /// holding two route() results stay valid). Default: 65536.
-  void set_route_cache_capacity(std::size_t capacity);
   RouteStats route_stats() const;
 
   const NodeInfo& node(NodeIdx n) const { return nodes_[static_cast<std::size_t>(n)]; }
@@ -144,7 +141,7 @@ class Platform {
   std::vector<ExplicitRoute> explicit_route_list() const;
 
  private:
-  Route compute_bfs_route(NodeIdx src, NodeIdx dst) const;
+  Route compute_bfs_route(NodeIdx src, NodeIdx dst, bool routers_only) const;
   Route compute_core_route(NodeIdx src, NodeIdx dst) const;
   Route compute_hier_route(NodeIdx src, NodeIdx dst) const;
   const Route& cache_insert(std::uint64_t key, Route r) const;
@@ -172,15 +169,16 @@ class Platform {
   std::vector<Access> access_;  // indexed by node, hosts only
 
   // Bounded LRU over computed routes (host pairs and router-core paths
-  // share one cache). List front = most recently used; the map points into
-  // the list so returned references survive until their entry is evicted.
+  // share one cache), holding at most kRouteCacheCapacity entries. List
+  // front = most recently used; the map points into the list so returned
+  // references survive until their entry is evicted.
   struct CacheEntry {
     std::uint64_t key;
     Route route;
   };
   mutable std::list<CacheEntry> cache_lru_;
   mutable std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator> route_cache_;
-  std::size_t route_cache_capacity_ = 65536;
+  static constexpr std::size_t kRouteCacheCapacity = 65536;
   mutable RouteStats stats_;
 };
 

@@ -32,7 +32,7 @@ CostProfile derive_cost_profile(ir::OptLevel level, const ObstacleProblem& bench
   const dperf::BlockTimings timings = pipeline.benchmark(workload);
 
   CostProfile profile;
-  profile.ref_hz = opt.ref_host_hz;
+  profile.ref_hz = dperf::kRefHostHz;
   const double init_points = static_cast<double>(bench_problem.n) * bench_problem.n;
   const double iter_points =
       static_cast<double>(bench_problem.n - 2) * (bench_problem.n - 2);

@@ -198,7 +198,7 @@ void Overlay::deliver(NodeIdx to, CtrlMsg msg) {
       deliver_passive(*pp, msg);
     return;  // nothing at this node: message lost
   }
-  if (!actor->alive_) return;  // crashed or stopped: message lost
+  if (!actor->alive_) return;  // crashed: message lost
   (is_rpc_reply(msg) ? actor->rpc_box_ : actor->main_box_).push(std::move(msg));
 }
 
@@ -228,11 +228,6 @@ TrackerActor* Overlay::tracker_at(NodeIdx host) {
 
 PeerActor* Overlay::peer_at(NodeIdx host) {
   return dynamic_cast<PeerActor*>(actor_at(host));
-}
-
-void Overlay::shutdown() {
-  for (auto& actor : actors_)
-    if (actor) actor->stop();
 }
 
 // --- ServerActor -------------------------------------------------------------

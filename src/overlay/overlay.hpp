@@ -45,14 +45,9 @@ class ActorBase {
   Ipv4 ip() const { return ip_; }
   bool alive() const { return alive_; }
 
-  /// Graceful stop: the main loop exits at its next wake-up.
-  void stop() { alive_ = false; }
-  /// Crash: additionally, all queued and future messages are dropped.
-  void crash() {
-    alive_ = false;
-    crashed_ = true;
-  }
-  bool crashed() const { return crashed_; }
+  /// Crash: the main loop exits at its next wake-up, and all queued and
+  /// future messages are dropped.
+  void crash() { alive_ = false; }
 
  protected:
   friend class Overlay;
@@ -60,7 +55,6 @@ class ActorBase {
   NodeIdx host_;
   Ipv4 ip_;
   bool alive_ = true;
-  bool crashed_ = false;
   sim::Mailbox<CtrlMsg> main_box_;
   sim::Mailbox<CtrlMsg> rpc_box_;
 };
@@ -238,14 +232,10 @@ class Overlay {
   /// entry becomes transient, so the tracker expires it like a silent peer.
   /// Returns false when `host` is not a passive peer.
   bool crash_passive_peer(NodeIdx host);
-  std::size_t passive_peer_count() const { return passive_.size(); }
 
   /// Initial tracker list installed on new nodes (paper: set at install
   /// time together with the server address).
   std::vector<TrackerRef> install_tracker_list() const { return core_trackers_; }
-
-  /// Stops every actor so Engine::run() can drain.
-  void shutdown();
 
   std::uint64_t ctrl_messages_sent() const { return ctrl_messages_; }
 

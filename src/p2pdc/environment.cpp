@@ -173,14 +173,6 @@ sim::Task<p2psap::Message> PeerContext::recv(int from_rank, int tag) {
   co_return m;
 }
 
-sim::Task<std::optional<p2psap::Message>> PeerContext::recv_for(int from_rank, int tag,
-                                                                Time timeout) {
-  if (comp_->failed) co_await comp_->halt.wait();
-  auto m = co_await comp_->data_channel(from_rank, rank_)
-               .recv_for(comp_->host_of(rank_), comp_->scoped(tag), timeout);
-  co_return m;
-}
-
 std::optional<p2psap::Message> PeerContext::try_recv(int from_rank, int tag) {
   if (comp_->failed) return std::nullopt;  // non-suspending: cannot park
   return comp_->data_channel(from_rank, rank_)

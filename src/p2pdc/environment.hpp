@@ -74,7 +74,6 @@ class PeerContext {
   sim::Task<void> send(int to_rank, int tag, double bytes,
                        std::shared_ptr<const std::vector<double>> values = nullptr);
   sim::Task<p2psap::Message> recv(int from_rank, int tag);
-  sim::Task<std::optional<p2psap::Message>> recv_for(int from_rank, int tag, Time timeout);
   std::optional<p2psap::Message> try_recv(int from_rank, int tag);
 
   /// Advances simulated time by `dt` to model local computation.

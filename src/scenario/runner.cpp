@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 
@@ -16,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "obstacle/minic_kernel.hpp"
 #include "support/env.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/memo.hpp"
 #include "support/rng.hpp"
@@ -288,15 +288,10 @@ net::Platform build_platform(const PlatformSpec& spec, const RunSpec& run,
     return net::build_small_world(sized, rng);
   }
   const auto& f = std::get<PlatformFileSpec>(spec.spec);
-  std::string text = f.text;
-  if (!f.path.empty()) {
-    std::ifstream in(f.path);
-    if (!in) throw std::runtime_error("cannot open platform file '" + f.path + "'");
-    std::stringstream buf;
-    buf << in.rdbuf();
-    text = buf.str();
-  }
-  return net::parse_platform(text);
+  if (f.path.empty()) return net::parse_platform(f.text);
+  const std::optional<std::string> text = read_file(f.path);
+  if (!text) throw std::runtime_error("cannot open platform file '" + f.path + "'");
+  return net::parse_platform(*text);
 }
 
 std::unique_ptr<Deployment> deploy(const PlatformSpec& spec, const RunSpec& run) {

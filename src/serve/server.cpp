@@ -2,10 +2,8 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -18,7 +16,7 @@
 #include "campaign/executor.hpp"
 #include "campaign/spec.hpp"
 #include "scenario/runner.hpp"
-#include "support/env.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/thread_pool.hpp"
@@ -31,34 +29,6 @@ namespace {
 
 double elapsed_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-void write_file_atomic(const fs::path& path, const std::string& content) {
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(content.data(), static_cast<std::streamsize>(content.size()));
-    if (!out) throw std::runtime_error("cannot write " + tmp.string());
-  }
-  fs::rename(tmp, path);
-}
-
-bool read_file(const fs::path& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
-/// ServerOptions::cache_bytes, or for SIZE_MAX the PDC_SERVE_CACHE_BYTES
-/// knob (default 64 MiB). A non-positive knob disables caching outright
-/// (every request simulates), the honest reading of "no cache budget".
-std::size_t cache_budget(std::size_t option) {
-  if (option != static_cast<std::size_t>(-1)) return option;
-  const int v = env_int("PDC_SERVE_CACHE_BYTES", 64 << 20);
-  return v > 0 ? static_cast<std::size_t>(v) : 0;
 }
 
 /// A failed run's record JSON, thrown out of the cache's derivation so that
@@ -81,7 +51,7 @@ Server::Server(ServerOptions opts)
       cache_([](const std::string& key, const std::string& body) {
                return key.size() + body.size();
              },
-             cache_budget(opts_.cache_bytes)),
+             opts_.cache_bytes),
       start_(std::chrono::steady_clock::now()) {
   if (opts_.unix_path.empty() && opts_.tcp_port < 0 && opts_.spool_dir.empty())
     throw std::invalid_argument(
@@ -364,17 +334,17 @@ void Server::process_spool_file(const std::string& claimed_path,
   collector_.count_request();
   collector_.count_spool_job();
   const fs::path claimed(claimed_path);
-  std::string text;
+  const std::optional<std::string> text = read_file(claimed);
   Response resp;
-  if (!read_file(claimed, text)) {
+  if (!text) {
     collector_.count_error();
     resp = Response{false, "", "cannot read spool file"};
   } else if (claimed.extension() == ".cmp") {
     collector_.count_campaign();
-    resp = run_campaign(text);
+    resp = run_campaign(*text);
   } else {
     collector_.count_scenario();
-    resp = run_scenario(text);
+    resp = run_scenario(*text);
   }
   const fs::path out =
       fs::path(opts_.spool_dir) / "out" / (stem + ".json");

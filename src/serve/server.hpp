@@ -58,9 +58,9 @@ struct ServerOptions {
   std::string spool_dir;
   /// Concurrent request workers.
   int jobs = 1;
-  /// Response-cache byte budget (each entry charges key + body bytes);
-  /// SIZE_MAX = the PDC_SERVE_CACHE_BYTES knob.
-  std::size_t cache_bytes = static_cast<std::size_t>(-1);
+  /// Response-cache byte budget (each entry charges key + body bytes); 0
+  /// keeps no answer.
+  std::size_t cache_bytes = 64u << 20;
   /// Final ServeStats JSON written on shutdown (empty = none).
   std::string stats_path;
   /// Base run parameters for parsing specs (pass RunSpec::from_env() so

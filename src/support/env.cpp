@@ -1,7 +1,9 @@
 #include "support/env.hpp"
 
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+
+#include "support/spec_keys.hpp"
 
 namespace pdc {
 
@@ -14,19 +16,11 @@ bool env_flag(const char* name, bool fallback) {
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<int>(parsed);
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') return fallback;
-  return parsed;
+  try {
+    return keys::Int{}.parse(v, name);
+  } catch (const std::invalid_argument&) {
+    return fallback;
+  }
 }
 
 std::string env_str(const char* name, const std::string& fallback) {

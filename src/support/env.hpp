@@ -11,11 +11,9 @@ namespace pdc {
 /// (so PDC_QUICK=1, PDC_QUICK=yes enable; PDC_QUICK=0 and unset disable).
 bool env_flag(const char* name, bool fallback = false);
 
-/// Integer value of `name`, or `fallback` when unset or not a number.
+/// Integer value of `name`, or `fallback` when unset, not a base-10 number
+/// or outside the range of int (never a wrapped value).
 int env_int(const char* name, int fallback);
-
-/// Double value of `name`, or `fallback` when unset or not a number.
-double env_double(const char* name, double fallback);
 
 /// String value of `name`, or `fallback` when unset or empty.
 std::string env_str(const char* name, const std::string& fallback = {});

@@ -157,8 +157,6 @@ class Vm {
   long long run_main();
 
   double cycles() const { return cycles_; }
-  /// Simulated nanoseconds at `hz` core frequency.
-  double ns_at(double hz) const { return cycles_ / hz * 1e9; }
   const VPapi& papi() const { return papi_; }
   VPapi& papi() { return papi_; }
 

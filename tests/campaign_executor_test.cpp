@@ -133,14 +133,14 @@ TEST(CampaignExecutor, ShippedSmokeCampaignRunsThenResumesEverything) {
 
   // Every file the campaign wrote reads back: the report and each record
   // parse as JSON, and the CSV carries its 20-column header.
-  EXPECT_NO_THROW(parse_json(read_file(dir.path / "report.json")));
+  EXPECT_NO_THROW(parse_json(read_file(dir.path / "report.json").value_or("")));
   std::size_t records = 0;
   for (const auto& entry : fs::directory_iterator(dir.path / "runs")) {
-    EXPECT_NO_THROW(parse_json(read_file(entry.path()))) << entry.path();
+    EXPECT_NO_THROW(parse_json(read_file(entry.path()).value_or(""))) << entry.path();
     ++records;
   }
   EXPECT_EQ(records, 8u);
-  const std::string csv = read_file(dir.path / "report.csv");
+  const std::string csv = read_file(dir.path / "report.csv").value_or("");
   EXPECT_EQ(csv.substr(0, csv.find('\n')),
             "campaign,point,platform,kind,peers,opt,scheme,alloc,seed,repetitions,errors,"
             "metric,n,mean,stddev,min,max,p50,p95,ci95_half");

@@ -224,7 +224,7 @@ TEST(ChurnSmoke, ShippedChurnSweepRunsSixRunsWithoutErrors) {
   EXPECT_EQ(report.errors, 0u);
   std::size_t records = 0;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir / "runs")) {
-    EXPECT_NO_THROW(parse_json(read_file(entry.path()))) << entry.path();
+    EXPECT_NO_THROW(parse_json(read_file(entry.path()).value_or(""))) << entry.path();
     ++records;
   }
   EXPECT_EQ(records, 6u);

@@ -1,21 +1,20 @@
-// Shared test helpers for committed files: the one file reader, the shipped
-// examples/ files, the byte comparison against goldens under tests/golden/
-// (PDC_UPDATE_GOLDEN=1 rewrites the file instead) and the one-line digest of
-// a dPerf rank-trace set that the trace goldens pin.
+// Shared test helpers for committed files: the shipped examples/ files, the
+// byte comparison against goldens under tests/golden/ (PDC_UPDATE_GOLDEN=1
+// rewrites the file instead) and the one-line digest of a dPerf rank-trace
+// set that the trace goldens pin.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "dperf/trace.hpp"
 #include "ir/pipeline.hpp"
 #include "support/env.hpp"
+#include "support/file.hpp"
 
 namespace pdc {
 
@@ -23,29 +22,19 @@ inline std::string golden_path(const char* name) {
   return std::string(PDC_TEST_DATA_DIR) + "/golden/" + name;
 }
 
-/// The whole file, or "" when it cannot be opened.
-inline std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// A shipped file under examples/, e.g. "scenarios/churn_smoke.scn".
+/// A shipped file under examples/, e.g. "scenarios/churn_smoke.scn"; "" when
+/// it cannot be opened.
 inline std::string read_example(const std::string& relative) {
-  return read_file(std::string(PDC_TEST_DATA_DIR) + "/../examples/" + relative);
+  return read_file(std::string(PDC_TEST_DATA_DIR) + "/../examples/" + relative).value_or("");
 }
 
 inline void check_against_golden(const std::string& produced, const char* name) {
   const std::string path = golden_path(name);
   if (env_flag("PDC_UPDATE_GOLDEN")) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << produced;
+    write_file_atomic(path, produced);
     GTEST_SKIP() << "golden updated: " << path;
   }
-  const std::string expected = read_file(path);
+  const std::string expected = read_file(path).value_or("");
   ASSERT_FALSE(expected.empty()) << "missing golden file " << path
                                  << " (run with PDC_UPDATE_GOLDEN=1 to create it)";
   EXPECT_EQ(produced, expected) << "serialized " << name

@@ -54,7 +54,7 @@ std::string run_traced(const std::string& path) {
   spec.run.trace_path = path;
   const scenario::RunRecord rec = scenario::Runner{std::move(spec)}.try_run();
   EXPECT_TRUE(rec.ok()) << rec.error;
-  const std::string text = read_file(path);
+  const std::string text = read_file(path).value_or("");
   EXPECT_FALSE(text.empty()) << "trace file not written: " << path;
   return text;
 }
@@ -257,7 +257,7 @@ TEST(ObsTrace, ShippedChurnScenarioTracedThroughEnv) {
   ::setenv("PDC_TRACE_DIR", dir.c_str(), 1);
   const scenario::RunRecord rec = scenario::Runner{spec}.try_run();
   ::unsetenv("PDC_TRACE_DIR");
-  const std::string text = read_file(dir / (spec.name + ".trace.json"));
+  const std::string text = read_file(dir / (spec.name + ".trace.json")).value_or("");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(rec.ok()) << rec.error;
   ASSERT_FALSE(text.empty()) << "PDC_TRACE_DIR run wrote no trace file";

@@ -33,8 +33,8 @@ TEST(ScenarioSmoke, EveryShippedScenarioRunsClean) {
     SCOPED_TRACE(file.filename().string());
     // Checked on the record's JSON, read back through the support reader,
     // as `pdc_scenario --check` emits it.
-    const JsonValue doc =
-        parse_json(Runner{parse_scenario(read_file(file), base)}.try_run().to_json());
+    const std::string text = read_file(file).value_or("");
+    const JsonValue doc = parse_json(Runner{parse_scenario(text, base)}.try_run().to_json());
     EXPECT_FALSE(doc.has("error")) << doc.at("error").as_string();
     int executed = 0;
     for (const char* phase : {"reference", "predicted"}) {

@@ -174,7 +174,7 @@ TEST(ScenarioSpec, ShippedFilesRenderToFixpoint) {
   for (const char* dir : {"scenarios", "campaigns"}) {
     for (const fs::directory_entry& entry : fs::directory_iterator(examples / dir)) {
       const fs::path& path = entry.path();
-      const std::string text = read_file(path);
+      const std::string text = read_file(path).value_or("");
       std::string first, second;
       Mode mode;
       if (path.extension() == ".scn") {

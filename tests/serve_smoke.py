@@ -3,9 +3,12 @@
 
     serve_smoke.py <example_pdc_serve> <example_pdc_client> <scenario.scn>
 
-One daemon on a Unix socket and a spool directory, at PDC_QUICK sizing:
+One daemon on a Unix socket and a spool directory, at PDC_QUICK sizing, with a
+PDC_SERVE_CACHE_BYTES budget above 2^31 (an int conversion would wrap it
+negative and turn the cache off):
   - the same scenario twice: the client sees a miss, then a byte-identical hit;
-  - STATS counts one hit, one miss and at least one trace set in the memos;
+  - STATS reports the 3 GB budget, one hit, one miss and at least one trace set
+    in the memos;
   - a scenario dropped into the spool is answered in spool/out/;
   - the METRICS answer, and the spool/out/metrics.prom snapshot that
     --metrics-every writes, are Prometheus text carrying the request counter
@@ -75,7 +78,8 @@ with tempfile.TemporaryDirectory() as tmp:
         daemon = subprocess.Popen(
             [serve, "--unix", sock, "--spool", spool, "--stats", final_stats,
              "--metrics-every", "0.5"],
-            env=env, stdout=log, stderr=subprocess.STDOUT)
+            env=dict(env, PDC_SERVE_CACHE_BYTES="3000000000"), stdout=log,
+            stderr=subprocess.STDOUT)
         try:
             wait_for(sock, 10)
             run_client(sock, "ping")
@@ -83,6 +87,8 @@ with tempfile.TemporaryDirectory() as tmp:
             second = run_client(sock, "--expect", "hit", "run", scenario)
             check(first == second, "the cached answer is byte-identical to the first")
             stats = json.loads(run_client(sock, "stats"))
+            check(stats["cache"]["budget_bytes"] == 3000000000,
+                  f"the knob's budget: {stats['cache']}")
             check(stats["cache"]["hits"] == 1, f"one cache hit: {stats['cache']}")
             check(stats["cache"]["misses"] == 1, f"one cache miss: {stats['cache']}")
             check(stats["memos"]["trace_sets"] >= 1, f"a trace set in the memos: {stats['memos']}")

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -14,6 +17,7 @@
 
 #include "support/csv.hpp"
 #include "support/env.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/memo.hpp"
@@ -23,6 +27,8 @@
 
 namespace pdc {
 namespace {
+
+namespace fs = std::filesystem;
 
 TEST(Json, WriterProducesParseableDocument) {
   JsonWriter w;
@@ -67,7 +73,7 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_THROW(parse_json("tru"), JsonError);
 }
 
-TEST(Env, FlagIntAndDouble) {
+TEST(Env, FlagAndInt) {
   ::setenv("PDC_TEST_KNOB", "1", 1);
   EXPECT_TRUE(env_flag("PDC_TEST_KNOB"));
   ::setenv("PDC_TEST_KNOB", "0", 1);
@@ -80,9 +86,23 @@ TEST(Env, FlagIntAndDouble) {
   EXPECT_EQ(env_int("PDC_TEST_KNOB", 7), 123);
   ::setenv("PDC_TEST_KNOB", "12x", 1);
   EXPECT_EQ(env_int("PDC_TEST_KNOB", 7), 7);  // malformed -> fallback
-  ::setenv("PDC_TEST_KNOB", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("PDC_TEST_KNOB", 1.0), 2.5);
+  ::setenv("PDC_TEST_KNOB", "99999999999", 1);
+  EXPECT_EQ(env_int("PDC_TEST_KNOB", 7), 7);  // out of int range -> fallback, not a wrap
   ::unsetenv("PDC_TEST_KNOB");
+}
+
+TEST(File, MissingPathReadsAsNullopt) {
+  EXPECT_EQ(read_file(fs::temp_directory_path() / "pdc_no_such_file_here"), std::nullopt);
+}
+
+TEST(File, AtomicWriteReplacesBytesAndLeavesNoTemp) {
+  const fs::path path =
+      fs::temp_directory_path() / ("pdc_file_test_" + std::to_string(::getpid()));
+  write_file_atomic(path, "first, longer contents");
+  write_file_atomic(path, "second");
+  EXPECT_EQ(read_file(path), std::optional<std::string>("second"));
+  EXPECT_FALSE(fs::exists(path.string() + ".tmp"));
+  fs::remove(path);
 }
 
 TEST(TimeUnits, Conversions) {
