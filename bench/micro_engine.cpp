@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -243,6 +244,19 @@ int main(int argc, char** argv) {
       out_path = argv[i];
   }
 
+  // Read the optional before/after baseline up front, so a bad path fails
+  // before the benchmark runs.
+  JsonValue baseline;
+  if (!baseline_path.empty()) {
+    const std::optional<std::string> text = read_file(baseline_path);
+    if (!text) {
+      std::fprintf(stderr, "bench_micro_engine: cannot read --baseline '%s'\n",
+                   baseline_path.c_str());
+      return 2;
+    }
+    baseline = parse_json(*text);
+  }
+
   const bool quick = env_flag("PDC_QUICK");
   const std::uint64_t events = quick ? 100'000 : 4'000'000;
 
@@ -254,9 +268,6 @@ int main(int argc, char** argv) {
   results.push_back(bench_slot_churn(events));
   results.push_back(bench_cancellable(events));
 
-  // Optional before/after comparison against a previously emitted file.
-  JsonValue baseline;
-  if (!baseline_path.empty()) baseline = parse_json(read_file(baseline_path).value_or(""));
   auto baseline_rate = [&baseline](const std::string& name) -> double {
     if (!baseline.has("workloads")) return 0;
     for (const JsonValue& w : baseline.at("workloads").as_array())

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -154,6 +155,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_micro_flownet: %s\n", e.what());
     return 2;
   }
+  // Read the optional before/after baseline up front, so a bad path fails
+  // before the benchmark runs.
+  pdc::JsonValue baseline;
+  if (!baseline_path.empty()) {
+    const std::optional<std::string> text = pdc::read_file(baseline_path);
+    if (!text) {
+      std::fprintf(stderr, "bench_micro_flownet: cannot read --baseline '%s'\n",
+                   baseline_path.c_str());
+      return 2;
+    }
+    baseline = pdc::parse_json(*text);
+  }
 
   const int kFlowCounts[] = {10, 100, 1000, 10000};
   std::vector<Result> results;
@@ -172,10 +185,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Optional before/after comparison against a previously emitted file.
-  pdc::JsonValue baseline;
-  if (!baseline_path.empty())
-    baseline = pdc::parse_json(pdc::read_file(baseline_path).value_or(""));
   auto baseline_rate = [&baseline](const Result& r) -> double {
     if (!baseline.has("results")) return 0;
     for (const pdc::JsonValue& b : baseline.at("results").as_array())

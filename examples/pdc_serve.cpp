@@ -19,10 +19,9 @@
 //                     in <dir>/out/<name>.json
 //   -j <n>            concurrent request workers (default 1)
 //   --stats <path>    write the final ServeStats JSON here on shutdown
-//   --cache-bytes <n> response-cache byte budget (default: the
-//                     PDC_SERVE_CACHE_BYTES environment variable, else 64 MiB;
-//                     0 keeps no answer). Both parse as an unsigned 64-bit
-//                     count; a malformed or negative value exits 2.
+//   --cache-bytes <n> response-cache byte budget (default 64 MiB; 0 keeps
+//                     no answer), an unsigned 64-bit count; a malformed or
+//                     negative value exits 2.
 //   --metrics-every <sec>  cadence of the <spool>/out/metrics.prom Prometheus
 //                     snapshot (default 60; 0 disables; needs --spool)
 //   -v                log protocol activity to stderr
@@ -38,7 +37,6 @@
 
 #include "scenario/spec.hpp"
 #include "serve/server.hpp"
-#include "support/env.hpp"
 #include "support/log.hpp"
 #include "support/spec_keys.hpp"
 
@@ -53,8 +51,6 @@ int main(int argc, char** argv) {
   opts.base = scenario::RunSpec::from_env();
   opts.stop_flag = &g_stop;
   try {
-    if (const std::string knob = env_str("PDC_SERVE_CACHE_BYTES"); !knob.empty())
-      opts.cache_bytes = keys::U64{}.parse(knob, "PDC_SERVE_CACHE_BYTES");
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--unix") == 0 && i + 1 < argc) opts.unix_path = argv[++i];
       else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc)

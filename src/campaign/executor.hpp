@@ -25,8 +25,8 @@
 namespace pdc::campaign {
 
 struct ExecutorOptions {
-  /// Concurrent runs. 1 executes inline on the calling thread with no pool,
-  /// preserving exact sequential semantics.
+  /// Concurrent runs. jobs <= 1 runs the matrix in order on a one-worker
+  /// pool.
   int jobs = 1;
   /// Where run records and the report land; empty = in-memory only
   /// (no persistence, no resume).

@@ -4,8 +4,8 @@
     serve_smoke.py <example_pdc_serve> <example_pdc_client> <scenario.scn>
 
 One daemon on a Unix socket and a spool directory, at PDC_QUICK sizing, with a
-PDC_SERVE_CACHE_BYTES budget above 2^31 (an int conversion would wrap it
-negative and turn the cache off):
+--cache-bytes budget above 2^31 (an int conversion would wrap it negative and
+turn the cache off):
   - the same scenario twice: the client sees a miss, then a byte-identical hit;
   - STATS reports the 3 GB budget, one hit, one miss and at least one trace set
     in the memos;
@@ -77,9 +77,8 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(os.path.join(tmp, "serve.log"), "w+") as log:
         daemon = subprocess.Popen(
             [serve, "--unix", sock, "--spool", spool, "--stats", final_stats,
-             "--metrics-every", "0.5"],
-            env=dict(env, PDC_SERVE_CACHE_BYTES="3000000000"), stdout=log,
-            stderr=subprocess.STDOUT)
+             "--cache-bytes", "3000000000", "--metrics-every", "0.5"],
+            env=env, stdout=log, stderr=subprocess.STDOUT)
         try:
             wait_for(sock, 10)
             run_client(sock, "ping")
@@ -88,7 +87,7 @@ with tempfile.TemporaryDirectory() as tmp:
             check(first == second, "the cached answer is byte-identical to the first")
             stats = json.loads(run_client(sock, "stats"))
             check(stats["cache"]["budget_bytes"] == 3000000000,
-                  f"the knob's budget: {stats['cache']}")
+                  f"the 3 GB budget: {stats['cache']}")
             check(stats["cache"]["hits"] == 1, f"one cache hit: {stats['cache']}")
             check(stats["cache"]["misses"] == 1, f"one cache miss: {stats['cache']}")
             check(stats["memos"]["trace_sets"] >= 1, f"a trace set in the memos: {stats['memos']}")
