@@ -43,9 +43,7 @@
 // (`campaign done: ...` / `campaign merged: ...`) is stable for scripting.
 #include <cstdio>
 #include <cstring>
-#include <iostream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -110,7 +108,7 @@ int main(int argc, char** argv) {
                  "       pdc_campaign --merge [-o dir] <campaign-file|-> <run-dir>...\n");
     return 2;
   }
-  if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {
+  if (shard_index >= shard_count) {
     std::fprintf(stderr, "--shard %d/%d is out of range\n", shard_index, shard_count);
     return 2;
   }
@@ -123,21 +121,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::string text;
-  if (std::strcmp(spec_path, "-") == 0) {
-    std::stringstream buf;
-    buf << std::cin.rdbuf();
-    text = buf.str();
-  } else if (std::optional<std::string> file = read_file(spec_path)) {
-    text = std::move(*file);
-  } else {
+  const std::optional<std::string> text = read_input(spec_path);
+  if (!text) {
     std::fprintf(stderr, "cannot open campaign file '%s'\n", spec_path);
     return 1;
   }
 
   campaign::CampaignSpec spec;
   try {
-    spec = campaign::parse_campaign(text, scenario::RunSpec::from_env());
+    spec = campaign::parse_campaign(*text, scenario::RunSpec::from_env());
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "%s: %s\n", spec_path, e.what());
     return 1;

@@ -76,6 +76,12 @@ std::map<std::string, double> record_metrics(const JsonValue& record) {
   return m;
 }
 
+void read_outcome(const JsonValue& record, Outcome& out) {
+  auto metrics = record.has("error") ? std::map<std::string, double>{} : record_metrics(record);
+  out.error = record.has("error") ? record.at("error").as_string() : "";
+  out.metrics = std::move(metrics);
+}
+
 namespace {
 
 /// Parses one persisted record and fills `out` when it is a complete,
@@ -99,14 +105,10 @@ bool load_record_text(const std::string& text, const CampaignRun& run, Outcome& 
     if (!doc.has("spec") ||
         doc.at("spec").as_string() != scenario::render_scenario(run.spec))
       return false;
-    // Extract before committing any state: a record whose metrics do not
-    // parse (older format) is re-executed, not half-loaded.
-    auto metrics = doc.has("error") ? std::map<std::string, double>{}
-                                    : record_metrics(doc);
+    // A record whose metrics do not parse (older format) is re-executed.
+    read_outcome(doc, out);
     out.skipped = true;
-    out.error = doc.has("error") ? doc.at("error").as_string() : "";
     out.record_json = text;
-    out.metrics = std::move(metrics);
     return true;
   } catch (const std::exception&) {
     return false;
@@ -158,16 +160,14 @@ void Executor::execute_one(const CampaignRun& run, Outcome& out) const {
     spec.run.trace_path =
         (fs::path(opts_.trace_dir) / (run.key + ".trace.json")).string();
   const scenario::Runner runner{std::move(spec)};
-  scenario::RunRecord rec = runner.try_run();
-  out.error = rec.error;
-  out.record_json = rec.to_json();
+  out.record_json = runner.try_run().to_json();
   // Nothing may escape a pooled worker (an uncaught exception would
   // std::terminate the whole campaign): record persistence or metric
   // extraction failures become this run's structured error, same as a
   // failed simulation.
   try {
     if (!opts_.out_dir.empty()) write_file_atomic(record_path(run), out.record_json);
-    if (rec.ok()) out.metrics = record_metrics(parse_json(out.record_json));
+    read_outcome(parse_json(out.record_json), out);
   } catch (const std::exception& e) {
     out.error = e.what();
     out.metrics.clear();

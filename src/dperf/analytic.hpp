@@ -1,12 +1,12 @@
-// Analytic prediction (ROADMAP item 3): predict a computation's solve/total
-// time from the rank traces × the platform model with NO engine replay at
-// all. The planner mirrors the P2PDC protocol (collection, grouped
-// allocation, the hierarchical allreduce tree, result gathering) and the
-// P2PSAP channel cost model (per-class header/ack bytes, route latencies)
-// with per-rank scalar clocks walked over each trace's events, and asks
-// `net::FlowNet::hypothetical_rates` for max-min fair rates of the
-// concurrent flow sets — kremlin-style critical-path planning instead of
-// discrete-event simulation.
+// Analytic prediction (ROADMAP "Analytic prediction contract"): predict a
+// computation's solve/total time from the rank traces × the platform model
+// with NO engine replay at all. The planner mirrors the P2PDC protocol
+// (collection, grouped allocation, the hierarchical allreduce tree, result
+// gathering) and the P2PSAP channel cost model (per-class header/ack bytes,
+// route latencies) with per-rank scalar clocks walked over each trace's
+// events, and asks `net::FlowNet::hypothetical_rates` for max-min fair rates
+// of the concurrent flow sets — kremlin-style critical-path planning instead
+// of discrete-event simulation.
 #pragma once
 
 #include <cstdint>

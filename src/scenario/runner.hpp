@@ -5,8 +5,8 @@
 //
 // Every bench and example drives scenarios through this Runner (the paper
 // tables run whole campaign files through campaign::Executor, which runs
-// each grid cell here); scenario::deploy stays public for benches that
-// drive a raw P2PDC computation on a deployed platform.
+// each grid cell here); scenario::deploy stays public for the example,
+// bench and tests that drive a raw P2PDC computation on a deployed platform.
 #pragma once
 
 #include <cstddef>

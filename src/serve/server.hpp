@@ -52,7 +52,7 @@ struct ServerOptions {
   /// stale socket file from a previous daemon is replaced.
   std::string unix_path;
   /// Loopback TCP port to listen on; -1 = no TCP listener, 0 = ephemeral
-  /// (read the chosen port back with Server::tcp_port()).
+  /// (read the chosen port back with Server::port()).
   int tcp_port = -1;
   /// Watched spool directory (empty = no spool). Created if missing.
   std::string spool_dir;
@@ -68,8 +68,6 @@ struct ServerOptions {
   scenario::RunSpec base;
   /// Accept/spool poll cadence and shutdown-flag check interval.
   double poll_seconds = 0.2;
-  /// Per-connection socket I/O timeout: a dead client cannot park a worker.
-  double io_timeout_seconds = 30.0;
   /// Cadence of the periodic Prometheus snapshot written to
   /// <spool>/out/metrics.prom (0 = disabled; needs a spool directory). A
   /// final snapshot is always written on shutdown when enabled.

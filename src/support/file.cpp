@@ -1,6 +1,7 @@
 #include "support/file.hpp"
 
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,6 +12,13 @@ std::optional<std::string> read_file(const std::filesystem::path& path) {
   if (!in) return std::nullopt;
   std::ostringstream buf;
   buf << in.rdbuf();
+  return std::move(buf).str();
+}
+
+std::optional<std::string> read_input(const std::string& arg) {
+  if (arg != "-") return read_file(arg);
+  std::ostringstream buf;
+  buf << std::cin.rdbuf();
   return std::move(buf).str();
 }
 

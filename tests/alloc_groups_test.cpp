@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
+#include "net/builders.hpp"
 #include "support/rng.hpp"
+#include "support/stats.hpp"
 
 namespace pdc::alloc {
 namespace {
@@ -67,6 +70,45 @@ TEST(Groups, GroupingIsByIpProximity) {
     // 80 peers -> 3 groups of <=32; each group fits inside one /8.
     EXPECT_EQ(nets.size(), 1u);
   }
+
+  // §III-C: grouping by proximity makes coordinator-member communication
+  // faster. 128 volunteers on the Daisy xDSL platform: IP-prefix groups
+  // average 6.88 route hops (4.98 ms) from coordinator to member, random
+  // groups of the same sizes 10.47 hops (5.69 ms).
+  peers.clear();
+  Rng rng{42};
+  const net::Platform plat = net::build_daisy(net::DaisySpec{}, rng);
+  for (int i = 0; i < 128; ++i) {
+    const net::NodeIdx h = plat.host((i * 8 + 3) % plat.host_count());
+    peers.push_back(overlay::PeerRef{h, plat.node(h).ip, overlay::PeerResources{3e9, 1e9, 1e9}});
+  }
+  auto distance = [&plat](const std::vector<Group>& groups) {
+    RunningStats hops, latency;
+    for (const auto& g : groups) {
+      const net::NodeIdx coord = g.coordinator_ref().node;
+      for (const auto& m : g.members) {
+        if (m.node == coord) continue;
+        const net::Route& r = plat.route(coord, m.node);
+        hops.add(static_cast<double>(r.hops.size()));
+        latency.add(r.latency);
+      }
+    }
+    return std::pair{hops.mean(), latency.mean()};
+  };
+
+  const std::vector<Group> proximity = form_groups(peers);
+  Rng shuffle_rng{7};
+  shuffle_rng.shuffle(peers);
+  std::vector<Group> random;
+  auto at = peers.begin();
+  for (const auto& g : proximity) {
+    random.emplace_back().members.assign(at, at + static_cast<std::ptrdiff_t>(g.members.size()));
+    at += static_cast<std::ptrdiff_t>(g.members.size());
+  }
+  const auto [near_hops, near_latency] = distance(proximity);
+  const auto [far_hops, far_latency] = distance(random);
+  EXPECT_LT(near_hops, 0.75 * far_hops) << near_hops << " vs " << far_hops << " hops";
+  EXPECT_LT(near_latency, far_latency);
 }
 
 TEST(Groups, CoordinatorIsFastestMember) {

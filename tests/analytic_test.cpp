@@ -1,6 +1,6 @@
-// Differential tests for the analytic planner (ROADMAP item 3): the
-// no-replay critical-path plan must track the discrete-event trace replay
-// the way the incremental FlowNet is tested against Mode::Reference — same
+// Differential tests for the analytic planner (ROADMAP "Analytic prediction
+// contract"): the no-replay critical-path plan must track the discrete-event
+// trace replay the way the incremental FlowNet tracks Mode::Reference — same
 // inputs, independent implementations, bounded disagreement.
 #include "dperf/analytic.hpp"
 

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "net/builders.hpp"
+#include "scenario/runner.hpp"
 
 namespace pdc::p2pdc {
 namespace {
@@ -180,6 +181,41 @@ TEST(Environment, FlatAllocationSlowerThanHierarchicalForManyPeers) {
   const Time hier = run(AllocationMode::Hierarchical);
   const Time flat = run(AllocationMode::Flat);
   EXPECT_LT(hier, flat) << "hierarchical allocation should be faster";
+
+  // The same on the Grid5000 deployment with 64 KiB results to gather. Flat
+  // allocation doubles with the peer count (13.4 / 27.1 / 54.6 ms at 8 / 16 /
+  // 32 peers) while hierarchical grows slower (8.9 / 13.0 / 21.2 ms), so the
+  // gap widens. The gathering bottleneck makes flat lose the total time too
+  // from 16 peers on (36.7 vs 39.3 ms, then 62.8 vs 76.4 ms); at 8 peers
+  // flat still wins it (20.7 vs 23.6 ms).
+  auto deployed = [](int peers, AllocationMode mode) {
+    scenario::RunSpec run;
+    run.peers = peers;
+    auto d = scenario::deploy(scenario::PlatformSpec::grid5000(), run);
+    TaskSpec spec;
+    spec.peers_needed = peers;
+    spec.cmax = 8;
+    spec.allocation = mode;
+    spec.subtask_bytes = 64e3;
+    spec.result_bytes = 64e3;
+    auto result = d->env->run_computation(d->submitter, spec,
+                                          [](PeerContext& ctx) -> sim::Task<void> {
+                                            co_await ctx.compute(0.001);
+                                          });
+    EXPECT_TRUE(result.ok) << result.failure;
+    return result;
+  };
+  double prev_ratio = 1.0;
+  for (int peers : {8, 16, 32}) {
+    SCOPED_TRACE(peers);
+    const ComputationResult h = deployed(peers, AllocationMode::Hierarchical);
+    const ComputationResult f = deployed(peers, AllocationMode::Flat);
+    const double ratio = f.allocation_time() / h.allocation_time();
+    EXPECT_GT(ratio, prev_ratio) << "the flat/hierarchical allocation gap should widen";
+    prev_ratio = ratio;
+    if (peers >= 16)
+      EXPECT_LT(h.total_time(), f.total_time()) << "hierarchy should win the total time";
+  }
 }
 
 TEST(Environment, PeersReleasedAfterComputation) {
