@@ -105,7 +105,6 @@ bool load_record_text(const std::string& text, const CampaignRun& run, Outcome& 
     if (!doc.has("spec") ||
         doc.at("spec").as_string() != scenario::render_scenario(run.spec))
       return false;
-    // A record whose metrics do not parse (older format) is re-executed.
     read_outcome(doc, out);
     out.skipped = true;
     out.record_json = text;

@@ -1,7 +1,7 @@
 #include "support/file.hpp"
 
+#include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,9 +17,10 @@ std::optional<std::string> read_file(const std::filesystem::path& path) {
 
 std::optional<std::string> read_input(const std::string& arg) {
   if (arg != "-") return read_file(arg);
-  std::ostringstream buf;
-  buf << std::cin.rdbuf();
-  return std::move(buf).str();
+  std::string text;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, stdin)) > 0;) text.append(buf, n);
+  return text;
 }
 
 void write_file_atomic(const std::filesystem::path& path, const std::string& text) {
