@@ -43,7 +43,9 @@
 // (`campaign done: ...` / `campaign merged: ...`) is stable for scripting.
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -121,15 +123,21 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::optional<std::string> text = read_input(spec_path);
-  if (!text) {
+  std::string text;
+  if (std::strcmp(spec_path, "-") == 0) {
+    std::stringstream buf;
+    buf << std::cin.rdbuf();
+    text = buf.str();
+  } else if (std::optional<std::string> file = read_file(spec_path)) {
+    text = std::move(*file);
+  } else {
     std::fprintf(stderr, "cannot open campaign file '%s'\n", spec_path);
     return 1;
   }
 
   campaign::CampaignSpec spec;
   try {
-    spec = campaign::parse_campaign(*text, scenario::RunSpec::from_env());
+    spec = campaign::parse_campaign(text, scenario::RunSpec::from_env());
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "%s: %s\n", spec_path, e.what());
     return 1;

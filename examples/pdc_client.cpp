@@ -27,7 +27,9 @@
 // stdout clean JSON for piping.
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -69,15 +71,21 @@ int main(int argc, char** argv) {
 
   serve::Request req;
   if (std::strcmp(command, "run") == 0) {
-    std::optional<std::string> body = read_input(arg);
-    if (!body) {
-      std::fprintf(stderr, "cannot open '%s'\n", arg);
-      return 1;
+    bool cmp = stdin_cmp;
+    if (std::strcmp(arg, "-") == 0) {
+      std::stringstream buf;
+      buf << std::cin.rdbuf();
+      req.body = buf.str();
+    } else {
+      std::optional<std::string> file = read_file(arg);
+      if (!file) {
+        std::fprintf(stderr, "cannot open '%s'\n", arg);
+        return 1;
+      }
+      req.body = std::move(*file);
+      const char* dot = std::strrchr(arg, '.');
+      cmp = cmp || (dot != nullptr && std::strcmp(dot, ".cmp") == 0);
     }
-    req.body = std::move(*body);
-    // `-` has no extension: stdin input is campaign text only with --cmp.
-    const char* dot = std::strrchr(arg, '.');
-    const bool cmp = stdin_cmp || (dot != nullptr && std::strcmp(dot, ".cmp") == 0);
     req.kind = cmp ? serve::RequestKind::RunCampaign : serve::RequestKind::RunScenario;
   } else if (std::strcmp(command, "stats") == 0) {
     req.kind = serve::RequestKind::Stats;

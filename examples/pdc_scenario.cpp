@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <optional>
+#include <sstream>
 
 #include "scenario/runner.hpp"
 #include "support/file.hpp"
@@ -47,15 +49,21 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::optional<std::string> text = read_input(spec_path);
-  if (!text) {
+  std::string text;
+  if (std::strcmp(spec_path, "-") == 0) {
+    std::stringstream buf;
+    buf << std::cin.rdbuf();
+    text = buf.str();
+  } else if (std::optional<std::string> file = read_file(spec_path)) {
+    text = std::move(*file);
+  } else {
     std::fprintf(stderr, "cannot open scenario file '%s'\n", spec_path);
     return 1;
   }
 
   scenario::ScenarioSpec spec;
   try {
-    spec = scenario::parse_scenario(*text, scenario::RunSpec::from_env());
+    spec = scenario::parse_scenario(text, scenario::RunSpec::from_env());
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "%s: %s\n", spec_path, e.what());
     return 1;

@@ -76,12 +76,6 @@ std::map<std::string, double> record_metrics(const JsonValue& record) {
   return m;
 }
 
-void read_outcome(const JsonValue& record, Outcome& out) {
-  auto metrics = record.has("error") ? std::map<std::string, double>{} : record_metrics(record);
-  out.error = record.has("error") ? record.at("error").as_string() : "";
-  out.metrics = std::move(metrics);
-}
-
 namespace {
 
 /// Parses one persisted record and fills `out` when it is a complete,
@@ -105,9 +99,14 @@ bool load_record_text(const std::string& text, const CampaignRun& run, Outcome& 
     if (!doc.has("spec") ||
         doc.at("spec").as_string() != scenario::render_scenario(run.spec))
       return false;
-    read_outcome(doc, out);
+    // Extract before committing any state: a record whose metrics do not
+    // parse (older format) is re-executed, not half-loaded.
+    auto metrics = doc.has("error") ? std::map<std::string, double>{}
+                                    : record_metrics(doc);
     out.skipped = true;
+    out.error = doc.has("error") ? doc.at("error").as_string() : "";
     out.record_json = text;
+    out.metrics = std::move(metrics);
     return true;
   } catch (const std::exception&) {
     return false;
@@ -159,14 +158,16 @@ void Executor::execute_one(const CampaignRun& run, Outcome& out) const {
     spec.run.trace_path =
         (fs::path(opts_.trace_dir) / (run.key + ".trace.json")).string();
   const scenario::Runner runner{std::move(spec)};
-  out.record_json = runner.try_run().to_json();
+  scenario::RunRecord rec = runner.try_run();
+  out.error = rec.error;
+  out.record_json = rec.to_json();
   // Nothing may escape a pooled worker (an uncaught exception would
   // std::terminate the whole campaign): record persistence or metric
   // extraction failures become this run's structured error, same as a
   // failed simulation.
   try {
     if (!opts_.out_dir.empty()) write_file_atomic(record_path(run), out.record_json);
-    read_outcome(parse_json(out.record_json), out);
+    if (rec.ok()) out.metrics = record_metrics(parse_json(out.record_json));
   } catch (const std::exception& e) {
     out.error = e.what();
     out.metrics.clear();

@@ -157,8 +157,4 @@ class Executor {
 /// tests and report tooling.
 std::map<std::string, double> record_metrics(const JsonValue& record);
 
-/// Sets `out.error` and `out.metrics` from one RunRecord document (a failed
-/// run has no metrics). Throws, leaving `out` untouched, on a malformed record.
-void read_outcome(const JsonValue& record, Outcome& out);
-
 }  // namespace pdc::campaign

@@ -133,6 +133,12 @@ sim::Task<Message> Channel::recv(net::NodeIdx at_host, int tag) {
   co_return m;
 }
 
+sim::Task<std::optional<Message>> Channel::recv_for(net::NodeIdx at_host, int tag,
+                                                    Time timeout) {
+  auto m = co_await box_for(at_host, tag).recv_for(timeout);
+  co_return m;
+}
+
 std::optional<Message> Channel::try_recv(net::NodeIdx at_host, int tag) {
   return box_for(at_host, tag).try_recv();
 }

@@ -88,6 +88,9 @@ class Channel {
   /// Receives the next message addressed to `at_host` with tag `tag`.
   sim::Task<Message> recv(net::NodeIdx at_host, int tag);
 
+  /// Receive with timeout: nullopt when nothing arrives within `timeout`.
+  sim::Task<std::optional<Message>> recv_for(net::NodeIdx at_host, int tag, Time timeout);
+
   /// Non-suspending receive.
   std::optional<Message> try_recv(net::NodeIdx at_host, int tag);
 

@@ -160,7 +160,7 @@ void Server::handle_connection(Socket conn) {
     ~Leave() { c.leave_request(); }
   } leave{collector_};
   try {
-    conn.set_io_timeout(30.0);  // seconds: a dead client cannot park a worker
+    conn.set_io_timeout(opts_.io_timeout_seconds);
     Request req;
     try {
       if (!read_request(conn, req)) return;  // client went away; not an error
@@ -263,7 +263,11 @@ Response Server::run_campaign(const std::string& text) {
     all_hits = all_hits && a.hit;
     out.record_json = std::move(a.body);
     try {
-      campaign::read_outcome(parse_json(out.record_json), out);
+      const JsonValue doc = parse_json(out.record_json);
+      if (doc.has("error") && !doc.at("error").as_string().empty())
+        out.error = doc.at("error").as_string();
+      else
+        out.metrics = campaign::record_metrics(doc);
     } catch (const std::exception& e) {
       out.error = e.what();
     }

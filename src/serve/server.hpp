@@ -68,6 +68,8 @@ struct ServerOptions {
   scenario::RunSpec base;
   /// Accept/spool poll cadence and shutdown-flag check interval.
   double poll_seconds = 0.2;
+  /// Per-connection socket I/O timeout: a dead client cannot park a worker.
+  double io_timeout_seconds = 30.0;
   /// Cadence of the periodic Prometheus snapshot written to
   /// <spool>/out/metrics.prom (0 = disabled; needs a spool directory). A
   /// final snapshot is always written on shutdown when enabled.

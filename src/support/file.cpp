@@ -1,6 +1,5 @@
 #include "support/file.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,14 +12,6 @@ std::optional<std::string> read_file(const std::filesystem::path& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return std::move(buf).str();
-}
-
-std::optional<std::string> read_input(const std::string& arg) {
-  if (arg != "-") return read_file(arg);
-  std::string text;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, stdin)) > 0;) text.append(buf, n);
-  return text;
 }
 
 void write_file_atomic(const std::filesystem::path& path, const std::string& text) {

@@ -1,6 +1,6 @@
 // Whole-file I/O: one reader and one crash-safe writer for every caller
 // (campaign records and reports, the serve spool, spec and platform files,
-// goldens and bench baselines), plus the CLIs' file-or-stdin operand.
+// goldens and bench baselines).
 #pragma once
 
 #include <filesystem>
@@ -11,9 +11,6 @@ namespace pdc {
 
 /// The bytes of `path`, or nullopt when it cannot be opened.
 std::optional<std::string> read_file(const std::filesystem::path& path);
-
-/// A CLI input operand: `-` is all of stdin, anything else goes to read_file.
-std::optional<std::string> read_input(const std::string& arg);
 
 /// Writes `text` to `path` + ".tmp" and renames it over `path`, so a killed
 /// writer never leaves a truncated file that a reader would trust. Throws

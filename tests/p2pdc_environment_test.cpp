@@ -213,8 +213,9 @@ TEST(Environment, FlatAllocationSlowerThanHierarchicalForManyPeers) {
     const double ratio = f.allocation_time() / h.allocation_time();
     EXPECT_GT(ratio, prev_ratio) << "the flat/hierarchical allocation gap should widen";
     prev_ratio = ratio;
-    if (peers >= 16)
+    if (peers >= 16) {
       EXPECT_LT(h.total_time(), f.total_time()) << "hierarchy should win the total time";
+    }
   }
 }
 

@@ -173,6 +173,19 @@ TEST(Channel, BothDirectionsWorkOnOneChannel) {
   EXPECT_EQ(exchanged, 2);
 }
 
+TEST(Channel, RecvForTimesOut) {
+  FabricFixture f;
+  auto& ch = f.fabric.channel(f.plat.host(0), f.plat.host(1), Scheme::Synchronous);
+  bool timed_out = false;
+  f.eng.spawn([](FabricFixture& fx, Channel& c, bool& out) -> sim::Process {
+    auto m = co_await c.recv_for(fx.plat.host(1), 9, 0.25);
+    out = !m.has_value();
+    EXPECT_DOUBLE_EQ(fx.eng.now(), 0.25);
+  }(f, ch, timed_out));
+  f.eng.run();
+  EXPECT_TRUE(timed_out);
+}
+
 TEST(Fabric, ChannelCachedPerPairAndScheme) {
   FabricFixture f;
   Channel& c1 = f.fabric.channel(f.plat.host(0), f.plat.host(1), Scheme::Synchronous);

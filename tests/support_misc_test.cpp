@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
@@ -103,18 +102,6 @@ TEST(File, AtomicWriteReplacesBytesAndLeavesNoTemp) {
   write_file_atomic(path, "second");
   EXPECT_EQ(read_file(path), std::optional<std::string>("second"));
   EXPECT_FALSE(fs::exists(path.string() + ".tmp"));
-  fs::remove(path);
-}
-
-TEST(File, InputOperandIsStdinOrPath) {
-  const fs::path path =
-      fs::temp_directory_path() / ("pdc_input_test_" + std::to_string(::getpid()));
-  const std::string text(10000, 'x');  // longer than one stdin read
-  write_file_atomic(path, text);
-  EXPECT_EQ(read_input(path.string()), std::optional<std::string>(text));
-  ASSERT_NE(std::freopen(path.c_str(), "r", stdin), nullptr);
-  EXPECT_EQ(read_input("-"), std::optional<std::string>(text));
-  EXPECT_EQ(read_input("pdc_no_such_file_here"), std::nullopt);
   fs::remove(path);
 }
 
