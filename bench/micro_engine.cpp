@@ -20,22 +20,18 @@
 //  * cancellable    — schedule_cancellable batches cancelled before their
 //    fire time (RPC guard timers).
 //
-// Emits BENCH_engine.json (pass a path as argv[1] to redirect). Pass
-// --baseline=FILE with a previously emitted JSON to embed per-workload
-// before/after speedups. PDC_QUICK shrinks the event budget for smoke/ASan
-// runs.
+// Emits BENCH_engine.json (pass a path as argv[1] to redirect). PDC_QUICK
+// shrinks the event budget for smoke/ASan runs.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/process.hpp"
 #include "support/env.hpp"
-#include "support/file.hpp"
 #include "support/json.hpp"
 
 namespace {
@@ -235,28 +231,8 @@ Result bench_cancellable(std::uint64_t events) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_engine.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--baseline=", 11) == 0)
-      baseline_path = argv[i] + 11;
-    else
-      out_path = argv[i];
-  }
-
-  // Read the optional before/after baseline up front, so a bad path fails
-  // before the benchmark runs.
-  JsonValue baseline;
-  if (!baseline_path.empty()) {
-    const std::optional<std::string> text = read_file(baseline_path);
-    if (!text) {
-      std::fprintf(stderr, "bench_micro_engine: cannot read --baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    baseline = parse_json(*text);
-  }
-
+  const char* out_path = bench::out_path(argc, argv, "BENCH_engine.json");
+  if (out_path == nullptr) return 2;
   const bool quick = env_flag("PDC_QUICK");
   const std::uint64_t events = quick ? 100'000 : 4'000'000;
 
@@ -268,49 +244,26 @@ int main(int argc, char** argv) {
   results.push_back(bench_slot_churn(events));
   results.push_back(bench_cancellable(events));
 
-  auto baseline_rate = [&baseline](const std::string& name) -> double {
-    if (!baseline.has("workloads")) return 0;
-    for (const JsonValue& w : baseline.at("workloads").as_array())
-      if (w.at("name").as_string() == name) return w.at("events_per_sec").as_double();
-    return 0;
-  };
-
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "engine_events_per_sec");
+  w.kv("nproc", bench::nproc());
   w.kv("quick", quick);
   w.kv("events_per_workload", events);
   w.key("workloads").begin_array();
   for (const Result& r : results) {
-    const double before = baseline_rate(r.name);
     w.begin_object();
     w.kv("name", r.name);
     w.kv("events", r.events);
     w.kv("wall_seconds", r.wall_seconds);
     w.kv("events_per_sec", r.events_per_sec);
-    if (before > 0) {
-      w.kv("baseline_events_per_sec", before);
-      w.kv("speedup", r.events_per_sec / before);
-    }
     w.end_object();
-    std::printf("%-14s %10llu events  %8.3f s  %12.0f ev/s",
-                r.name.c_str(), static_cast<unsigned long long>(r.events),
-                r.wall_seconds, r.events_per_sec);
-    if (before > 0) std::printf("  %6.2fx vs baseline", r.events_per_sec / before);
-    std::printf("\n");
+    std::printf("%-14s %10llu events  %8.3f s  %12.0f ev/s\n", r.name.c_str(),
+                static_cast<unsigned long long>(r.events), r.wall_seconds,
+                r.events_per_sec);
     std::fflush(stdout);
   }
   w.end_array();
   w.end_object();
-
-  std::FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fputs(w.str().c_str(), f);
-  std::fputs("\n", f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  return bench::write_json(out_path, w) ? 0 : 1;
 }

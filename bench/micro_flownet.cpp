@@ -14,24 +14,21 @@
 //    class solver's payoff case (and the shape of the paper's platforms).
 //
 // Emits BENCH_flownet.json (pass a path as argv[1] to redirect). Reference
-// mode is skipped above --ref-cap=N flows (default 1000; a bad N exits 2):
-// the point of the exercise is that the full recompute is unusable at that
-// scale. Pass --baseline=FILE (a previously emitted BENCH_flownet.json) to
-// embed before/after speedups at matched (topology, flows, mode).
+// mode is skipped above 1000 flows (100 under PDC_QUICK): the point of the
+// exercise is that the full recompute is unusable at that scale.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "net/builders.hpp"
 #include "net/flow.hpp"
-#include "support/file.hpp"
+#include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
-#include "support/spec_keys.hpp"
 
 namespace {
 
@@ -139,34 +136,9 @@ Result run_case(const std::string& topology, const Platform& plat, int flows, in
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_flownet.json";
-  std::string baseline_path;
-  int ref_cap = 1000;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--ref-cap=", 10) == 0)
-        ref_cap = pdc::keys::Int{.min = 0}.parse(argv[i] + 10, "--ref-cap");
-      else if (std::strncmp(argv[i], "--baseline=", 11) == 0)
-        baseline_path = argv[i] + 11;
-      else
-        out_path = argv[i];
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "bench_micro_flownet: %s\n", e.what());
-    return 2;
-  }
-  // Read the optional before/after baseline up front, so a bad path fails
-  // before the benchmark runs.
-  pdc::JsonValue baseline;
-  if (!baseline_path.empty()) {
-    const std::optional<std::string> text = pdc::read_file(baseline_path);
-    if (!text) {
-      std::fprintf(stderr, "bench_micro_flownet: cannot read --baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    baseline = pdc::parse_json(*text);
-  }
+  const char* out_path = pdc::bench::out_path(argc, argv, "BENCH_flownet.json");
+  if (out_path == nullptr) return 2;
+  const int ref_cap = pdc::env_flag("PDC_QUICK") ? 100 : 1000;
 
   const int kFlowCounts[] = {10, 100, 1000, 10000};
   std::vector<Result> results;
@@ -185,23 +157,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto baseline_rate = [&baseline](const Result& r) -> double {
-    if (!baseline.has("results")) return 0;
-    for (const pdc::JsonValue& b : baseline.at("results").as_array())
-      if (b.at("topology").as_string() == r.topology &&
-          b.at("flows").as_double() == r.flows && b.at("mode").as_string() == r.mode)
-        return b.at("reshares_per_sec").as_double();
-    return 0;
-  };
-
-  // Speedups at matched (topology, flows), emitted through the shared
-  // support JSON writer like every other BENCH_*.json / RunRecord file.
+  // One row per case plus the incremental-over-reference speedup at matched
+  // (topology, flows), emitted through the shared support JSON writer like
+  // every other BENCH_*.json / RunRecord file.
   pdc::JsonWriter w;
   w.begin_object();
   w.kv("bench", "flownet_reshare_throughput");
+  w.kv("nproc", pdc::bench::nproc());
   w.key("results").begin_array();
   for (const Result& r : results) {
-    const double before = baseline_rate(r);
     w.begin_object();
     w.kv("topology", r.topology);
     w.kv("flows", r.flows);
@@ -214,10 +178,6 @@ int main(int argc, char** argv) {
     w.kv("classes_active", r.classes_active);
     w.kv("class_merges", r.class_merges);
     w.kv("class_splits", r.class_splits);
-    if (before > 0) {
-      w.kv("baseline_reshares_per_sec", before);
-      w.kv("speedup_vs_baseline", r.reshares_per_sec / before);
-    }
     w.end_object();
   }
   w.end_array();
@@ -235,14 +195,5 @@ int main(int argc, char** argv) {
   w.end_object();
   w.end_object();
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fputs(w.str().c_str(), f);
-  std::fputs("\n", f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  return pdc::bench::write_json(out_path, w) ? 0 : 1;
 }

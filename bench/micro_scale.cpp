@@ -17,25 +17,22 @@
 // Sizes are measured interleaved (rep-outer, size-inner, like
 // BENCH_engine) and the best rate per size is kept; bytes are taken from
 // the first rep — deployment is deterministic. Emits BENCH_scale.json
-// (argv[1] redirects). --budget-bytes-per-peer=N (N > 0) exits 1 when any
-// row exceeds the budget, and 2 on a bad N; the bench_micro_scale_budget
-// ctest entry pins the committed budget.
+// (argv[1] redirects) and exits 1 when any row exceeds the 1500 B/peer
+// budget; the bench_micro_scale_budget ctest entry runs it under PDC_QUICK.
 #include <malloc.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "p2pdc/environment.hpp"
 #include "scenario/runner.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
-#include "support/spec_keys.hpp"
 
 namespace {
 // Live heap bytes through the replaceable global operator new/delete.
@@ -87,6 +84,10 @@ struct Timer {
 
 constexpr int kRanks = 16;
 constexpr int kIterations = 8;
+// Live heap bytes per booted peer stay under this at every size
+// (BENCH_scale.json shows ~1060 B/peer at 100 peers falling to ~560 B/peer
+// at 10^5; the budget has slack for allocator skew).
+constexpr double kBudgetBytesPerPeer = 1500;
 
 struct Row {
   int peers = 0;
@@ -156,21 +157,8 @@ Row measure(int peers) {
 
 int main(int argc, char** argv) {
   using namespace pdc;
-  const char* out_path = "BENCH_scale.json";
-  double budget_bytes_per_peer = 0;  // 0: no budget
-  try {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--budget-bytes-per-peer=", 24) == 0)
-        budget_bytes_per_peer = keys::Real{.min = 0, .above_min = true}.parse(
-            argv[i] + 24, "--budget-bytes-per-peer");
-      else
-        out_path = argv[i];
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "bench_micro_scale: %s\n", e.what());
-    return 2;
-  }
-
+  const char* out_path = bench::out_path(argc, argv, "BENCH_scale.json");
+  if (out_path == nullptr) return 2;
   const bool quick = env_flag("PDC_QUICK");
   std::vector<int> sizes{100, 1'000, 10'000};
   if (!quick) sizes.push_back(100'000);
@@ -196,6 +184,7 @@ int main(int argc, char** argv) {
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "scale_bytes_and_events");
+  w.kv("nproc", bench::nproc());
   w.kv("quick", quick);
   w.kv("reps", reps);
   w.kv("ranks", kRanks);
@@ -215,23 +204,14 @@ int main(int argc, char** argv) {
                 r.peers, r.bytes_per_peer, r.boot_seconds,
                 static_cast<unsigned long long>(r.events), r.events_per_sec);
     std::fflush(stdout);
-    if (budget_bytes_per_peer > 0 && r.bytes_per_peer > budget_bytes_per_peer) {
+    if (r.bytes_per_peer > kBudgetBytesPerPeer) {
       std::fprintf(stderr, "FAIL: %d peers at %.1f bytes/peer exceeds budget %.1f\n",
-                   r.peers, r.bytes_per_peer, budget_bytes_per_peer);
+                   r.peers, r.bytes_per_peer, kBudgetBytesPerPeer);
       over_budget = true;
     }
   }
   w.end_array();
   w.end_object();
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fputs(w.str().c_str(), f);
-  std::fputs("\n", f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return over_budget ? 1 : 0;
+  return bench::write_json(out_path, w) && !over_budget ? 0 : 1;
 }

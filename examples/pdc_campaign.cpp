@@ -32,8 +32,6 @@
 //   --render     print the canonical campaign text and exit (no run)
 //   --list       print the expanded run matrix and exit (no run)
 //   --no-resume  re-execute runs even when their record already exists
-//   --check      re-parse the emitted report JSON + CSV and fail loudly on
-//                a mismatch (ctest example_pdc_campaign_smoke uses it)
 //   --trace-dir <dir>  write a Chrome-trace JSON per executed run as
 //                <dir>/<key>.trace.json (defaults to PDC_TRACE_DIR when set;
 //                does not affect run keys, records or the report)
@@ -65,7 +63,6 @@ int main(int argc, char** argv) {
   bool render_only = false;
   bool list_only = false;
   bool resume = true;
-  bool check = false;
   bool merge = false;
   int shard_index = 0, shard_count = 1;
   // Per-run tracing; the flag overrides the PDC_TRACE_DIR default.
@@ -81,7 +78,6 @@ int main(int argc, char** argv) {
       else if (std::strcmp(argv[i], "--render") == 0) render_only = true;
       else if (std::strcmp(argv[i], "--list") == 0) list_only = true;
       else if (std::strcmp(argv[i], "--no-resume") == 0) resume = false;
-      else if (std::strcmp(argv[i], "--check") == 0) check = true;
       else if (std::strcmp(argv[i], "--merge") == 0) merge = true;
       else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
         const std::string_view shard = argv[++i];
@@ -106,7 +102,7 @@ int main(int argc, char** argv) {
   if (spec_path == nullptr) {
     std::fprintf(stderr,
                  "usage: pdc_campaign [-j n] [-o dir] [--shard i/n] [--render] [--list] "
-                 "[--no-resume] [--check] [--trace-dir dir] <campaign-file|->\n"
+                 "[--no-resume] [--trace-dir dir] <campaign-file|->\n"
                  "       pdc_campaign --merge [-o dir] <campaign-file|-> <run-dir>...\n");
     return 2;
   }
@@ -196,23 +192,6 @@ int main(int argc, char** argv) {
                    TextTable::num(s.min, 3), TextTable::num(s.max, 3)});
   }
   std::printf("%s", table.render().c_str());
-
-  if (check) {
-    try {
-      const JsonValue doc = parse_json(report.to_json());
-      if (!doc.has("campaign") || !doc.has("points"))
-        throw JsonError(0, "report missing required keys");
-      if (static_cast<std::size_t>(doc.at("total_runs").as_double()) != report.total)
-        throw JsonError(0, "total_runs mismatch");
-      const std::string csv = report.to_csv();
-      if (csv.find("campaign,point,platform") != 0)
-        throw std::runtime_error("csv header mismatch");
-      std::printf("report check: ok\n");
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "report check FAILED: %s\n", e.what());
-      return 1;
-    }
-  }
 
   if (merge) {
     std::printf("wrote %s/report.json and report.csv (canonical)\n",

@@ -3,27 +3,23 @@
 // for ready-made files and examples/README.md for the format.
 //
 //   $ ./example_pdc_scenario examples/scenarios/lan.scn
-//   $ ./example_pdc_scenario -o out.json --check examples/scenarios/wan.scn
+//   $ ./example_pdc_scenario -o out.json examples/scenarios/wan.scn
 //   $ echo 'platform federation' | ./example_pdc_scenario -
 //
 // Options:
 //   -o <path>   RunRecord JSON output path (default RUN_<name>.json)
 //   --render    print the canonical spec text and exit (no run)
-//   --check     re-parse the emitted JSON with the support reader and fail
-//               loudly if it does not round-trip
 //
 // PDC_QUICK=1 shrinks the default obstacle sizing for smoke runs; explicit
 // `grid` / `iters` lines in the file always win.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 
 #include "scenario/runner.hpp"
 #include "support/file.hpp"
-#include "support/json.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
@@ -31,11 +27,9 @@ int main(int argc, char** argv) {
   const char* spec_path = nullptr;
   const char* out_path = nullptr;
   bool render_only = false;
-  bool check = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) out_path = argv[++i];
     else if (std::strcmp(argv[i], "--render") == 0) render_only = true;
-    else if (std::strcmp(argv[i], "--check") == 0) check = true;
     else if (argv[i][0] == '-' && std::strcmp(argv[i], "-") != 0) {
       std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
       return 2;
@@ -45,7 +39,7 @@ int main(int argc, char** argv) {
   }
   if (spec_path == nullptr) {
     std::fprintf(stderr,
-                 "usage: pdc_scenario [-o out.json] [--render] [--check] <spec-file|->\n");
+                 "usage: pdc_scenario [-o out.json] [--render] <spec-file|->\n");
     return 2;
   }
 
@@ -109,28 +103,14 @@ int main(int argc, char** argv) {
   if (rec.analytic_error)
     std::printf("analytic error: %.2f%%\n", 100.0 * *rec.analytic_error);
 
-  const std::string json = rec.to_json();
   const std::string path =
       out_path != nullptr ? std::string(out_path) : "RUN_" + spec.name + ".json";
-  std::ofstream out(path);
-  if (!out) {
+  try {
+    write_file_atomic(path, rec.to_json());
+  } catch (const std::exception&) {
     std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
     return 1;
   }
-  out << json;
-  out.close();
   std::printf("wrote %s (%d hosts modelled)\n", path.c_str(), rec.platform_hosts);
-
-  if (check) {
-    try {
-      const JsonValue doc = parse_json(json);
-      if (!doc.has("scenario") || !doc.has("platform") || !doc.has("run"))
-        throw JsonError(0, "RunRecord missing required keys");
-      std::printf("JSON check: ok\n");
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "JSON check FAILED: %s\n", e.what());
-      return 1;
-    }
-  }
   return 0;
 }

@@ -1,6 +1,6 @@
 // Whole-file I/O: one reader and one crash-safe writer for every caller
 // (campaign records and reports, the serve spool, spec and platform files,
-// goldens and bench baselines).
+// goldens and the BENCH_*.json outputs).
 #pragma once
 
 #include <filesystem>

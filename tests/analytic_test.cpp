@@ -117,6 +117,10 @@ TEST(Analytic, AnalyticOnlyModeSkipsReplay) {
   // Planner milestones read through the usual ComputationResult accessors.
   EXPECT_GT(rec.analytic->computation.collection_time(), 0);
   EXPECT_GT(rec.analytic->computation.allocation_time(), 0);
+  // The plan costs no replay: the analytic phase dispatches no engine event
+  // and starts no flow.
+  EXPECT_EQ(rec.analytic->engine.events_dispatched, 0u);
+  EXPECT_EQ(rec.analytic->net.flows_started, 0u);
 }
 
 TEST(Analytic, RecordJsonRoundTrips) {

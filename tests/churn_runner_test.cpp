@@ -2,7 +2,7 @@
 // scheduled peer/tracker/link faults, both phases replay the identical event
 // stream, and a campaign sweeping churn rate is bit-for-bit deterministic
 // across -j levels. The shipped churn scenario and churn-rate sweep run at
-// quick sizing, as `pdc_scenario --check` and `pdc_campaign --check` would.
+// quick sizing, as `pdc_scenario` and `pdc_campaign` would under PDC_QUICK.
 #include <gtest/gtest.h>
 
 #include <filesystem>

@@ -32,7 +32,7 @@ TEST(ScenarioSmoke, EveryShippedScenarioRunsClean) {
   for (const fs::path& file : files) {
     SCOPED_TRACE(file.filename().string());
     // Checked on the record's JSON, read back through the support reader,
-    // as `pdc_scenario --check` emits it.
+    // as `pdc_scenario` writes it.
     const std::string text = read_file(file).value_or("");
     const JsonValue doc = parse_json(Runner{parse_scenario(text, base)}.try_run().to_json());
     EXPECT_FALSE(doc.has("error")) << doc.at("error").as_string();
