@@ -142,8 +142,8 @@ Result bench_sleep_storm(std::uint64_t events) {
 
 // --- timed-receive storm -----------------------------------------------------
 
-sim::Process timed_ponger(Engine& eng, sim::Mailbox<int>& in, sim::Mailbox<int>& out,
-                          std::uint64_t rounds, bool starts) {
+sim::Process timed_ponger(sim::Mailbox<int>& in, sim::Mailbox<int>& out, std::uint64_t rounds,
+                          bool starts) {
   if (starts) out.push(0);
   for (std::uint64_t i = 0; i < rounds; ++i) {
     // Generous timeout: every receive is satisfied by a push long before the
@@ -159,8 +159,8 @@ Result bench_timed_recv(std::uint64_t events) {
   sim::Mailbox<int> a{eng}, b{eng};
   const std::uint64_t rounds = events / 2;
   Timer timer;
-  eng.spawn(timed_ponger(eng, a, b, rounds, true));
-  eng.spawn(timed_ponger(eng, b, a, rounds, false));
+  eng.spawn(timed_ponger(a, b, rounds, true));
+  eng.spawn(timed_ponger(b, a, rounds, false));
   eng.run();
   return finish("timed_recv", eng.dispatched_events(), timer);
 }

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "ir/ast_opt.hpp"
 #include "ir/lower.hpp"
 #include "ir/passes.hpp"
 #include "minic/parser.hpp"
@@ -57,10 +56,6 @@ void run_to_fixpoint(IrFunction& fn, bool with_cse) {
 IrProgram compile(const minic::Program& program, OptLevel level) {
   minic::Program ast = program.clone();
   minic::check(ast);
-  if (level == OptLevel::O3) {
-    unroll_loops(ast, 4);
-    minic::check(ast);  // re-annotate the transformed tree
-  }
   IrProgram ir = lower(ast);
   if (level == OptLevel::O0) return ir;
 

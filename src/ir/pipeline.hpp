@@ -6,8 +6,9 @@
 //   O1: variable promotion (mem2reg), constant folding, copy propagation,
 //       dead-code elimination;
 //   O2: O1 + local CSE + strength reduction (inside the folder);
-//   O3: O2 + loop unrolling (AST level) + loop-invariant code motion;
-//   Os: O2 + LICM but no unrolling — optimizes without growing code size.
+//   O3: O2 + loop-invariant code motion (LICM);
+//   Os: the same passes as O3. The cost model has no code-size-vs-speed
+//       trade-off, so the paper's `3` and `s` columns coincide.
 #pragma once
 
 #include <string>
@@ -25,8 +26,8 @@ OptLevel parse_opt_level(const std::string& text);
 /// All levels, in the paper's order {0, 1, 2, 3, s}.
 const std::vector<OptLevel>& all_opt_levels();
 
-/// Type checks, optionally transforms (unroll), lowers and optimizes the
-/// program at the given level. The input AST is not modified.
+/// Type checks, lowers and optimizes the program at the given level. The
+/// input AST is not modified.
 IrProgram compile(const minic::Program& program, OptLevel level);
 
 /// Convenience: parse + compile from source text.

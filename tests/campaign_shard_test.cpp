@@ -64,7 +64,9 @@ TEST(ShardRuns, EveryPartitionIsDisjointExhaustiveAndOrdered) {
         // it) in increasing order.
         EXPECT_EQ(run.index % static_cast<std::size_t>(n),
                   static_cast<std::size_t>(i));
-        if (!first) EXPECT_GT(run.index, prev_index);
+        if (!first) {
+          EXPECT_GT(run.index, prev_index);
+        }
         prev_index = run.index;
         first = false;
       }
@@ -181,7 +183,9 @@ TEST(ShardMerge, MissingRecordBecomesAnError) {
   EXPECT_EQ(mr.total, 8u);
   EXPECT_EQ(mr.errors, 4u);  // the shard-1 records are missing
   for (const Outcome& out : mx.outcomes())
-    if (!out.ok()) EXPECT_NE(out.error.find("missing record"), std::string::npos);
+    if (!out.ok()) {
+      EXPECT_NE(out.error.find("missing record"), std::string::npos);
+    }
 }
 
 TEST(ShardMerge, MergeRequiresUnshardedExecutor) {

@@ -199,8 +199,9 @@ TEST(ChurnCampaign, ChurnRateSweepIsDeterministicAcrossJobs) {
   }
   // The churn-free grid points (rate 0) must all have completed.
   for (const Outcome& out : j1.outcomes())
-    if (out.run.key.find("-cr0-") != std::string::npos)
+    if (out.run.key.find("-cr0-") != std::string::npos) {
       EXPECT_TRUE(out.ok()) << out.run.key << ": " << out.error;
+    }
   EXPECT_EQ(r1.points.size(), r4.points.size());
   EXPECT_EQ(r1.points.size(), 6u);
 }

@@ -1,6 +1,6 @@
 // Property test: every optimization level computes the same result as -O0
 // on randomly generated MiniC programs. This is the compiler's main
-// soundness net: folding, promotion, CSE, LICM and unrolling must all be
+// soundness net: folding, promotion, CSE and LICM must all be
 // semantics-preserving.
 #include <gtest/gtest.h>
 

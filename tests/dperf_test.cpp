@@ -217,7 +217,9 @@ TEST(TraceGen, KernelTraceHasExpectedShape) {
   EXPECT_EQ(mid.count(TraceEvent::Kind::Recv), 24u);
   // Ghost rows are n doubles.
   for (const auto& e : mid.events)
-    if (e.kind == TraceEvent::Kind::Send) EXPECT_DOUBLE_EQ(e.bytes, 34 * 8.0);
+    if (e.kind == TraceEvent::Kind::Send) {
+      EXPECT_DOUBLE_EQ(e.bytes, 34 * 8.0);
+    }
 }
 
 TEST(TraceGen, ScaledUpTraceMatchesFullRunClosely) {

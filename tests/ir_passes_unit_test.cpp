@@ -36,8 +36,9 @@ TEST(Cfg, DominatorsOfDiamond) {
   const Cfg cfg = analyze_cfg(fn);
   // Entry dominates everything.
   for (int b = 0; b < static_cast<int>(fn.blocks.size()); ++b)
-    if (!cfg.preds[static_cast<std::size_t>(b)].empty() || b == 0)
+    if (!cfg.preds[static_cast<std::size_t>(b)].empty() || b == 0) {
       EXPECT_TRUE(cfg.dominates(0, b)) << "entry must dominate block " << b;
+    }
   // The then-block does not dominate the join.
   const auto succs = fn.successors(0);
   ASSERT_EQ(succs.size(), 2u);

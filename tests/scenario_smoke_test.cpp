@@ -45,7 +45,9 @@ TEST(ScenarioSmoke, EveryShippedScenarioRunsClean) {
       EXPECT_EQ(engine.at("closures_heap").as_double(), 0) << phase;
     }
     EXPECT_GT(executed, 0) << "record has no executed phase";
-    if (doc.has("analytic_error")) EXPECT_LT(doc.at("analytic_error").as_double(), 0.10);
+    if (doc.has("analytic_error")) {
+      EXPECT_LT(doc.at("analytic_error").as_double(), 0.10);
+    }
   }
 }
 
